@@ -21,7 +21,7 @@ inline constexpr std::array<rt::Region, 5> kReplicatedPlacement = {
 /// node ids clients should target.
 struct ReplicatedGroup {
   std::vector<rt::NodeId> replica_ids;
-  std::vector<consensus::MultiPaxosNode*> multipaxos;  // kMultiPaxSys only
+  std::vector<consensus::MultiPaxosReplica*> multipaxos;  // kMultiPaxSys only
   std::vector<consensus::RaftNode*> raft;              // kCockroachLike only
 };
 
@@ -45,7 +45,7 @@ ReplicatedGroup CreateMultiPaxSys(Cluster& cluster, int64_t max_tokens,
     opts.group = ids;
     opts.initial_leader = first;  // us-west1, adjacent to the US majority
     opts.max_pending = max_pending;
-    auto* node = cluster.template AddNode<consensus::MultiPaxosNode>(
+    auto* node = cluster.template AddNode<consensus::MultiPaxosReplica>(
         kReplicatedPlacement[static_cast<size_t>(i)], opts,
         std::make_unique<consensus::TokenStateMachine>(max_tokens));
     node->set_storage(cluster.StorageFor(node->id()));

@@ -18,7 +18,6 @@ namespace samya {
 ///   10-19   token client API (this file)
 ///   100-119 multi-Paxos
 ///   120-139 Raft
-///   140-149 single-decree Paxos
 ///   200-229 Avantan (both versions)
 ///   230-249 Samya site/app-manager internal
 ///   250-269 Demarcation/Escrow
@@ -32,6 +31,48 @@ inline constexpr uint32_t kMsgTokenResponse = 11;
 /// replies, queueing, and at-most-once dedup all apply unchanged — so
 /// batching only amortizes the message count, never changes semantics.
 inline constexpr uint32_t kMsgTokenBatchRequest = 12;
+
+/// Human name of a wire message type in the registry above; unknown types
+/// map to "msg". Returns a static string.
+inline const char* MessageTypeName(uint32_t type) {
+  switch (type) {
+    case 10: return "token_request";
+    case 11: return "token_response";
+    case 12: return "token_batch_request";
+    case 100: return "mp_prepare";
+    case 101: return "mp_promise";
+    case 102: return "mp_accept";
+    case 103: return "mp_accepted";
+    case 104: return "mp_commit";
+    case 105: return "mp_heartbeat";
+    case 120: return "raft_request_vote";
+    case 121: return "raft_vote_response";
+    case 122: return "raft_append_entries";
+    case 123: return "raft_append_response";
+    case 200: return "election_get_value";
+    case 201: return "election_ok_value";
+    case 202: return "accept_value";
+    case 203: return "accept_ok";
+    case 204: return "decision";
+    case 205: return "discard";
+    case 206: return "status_query";
+    case 207: return "status_reply";
+    case 230: return "read_query";
+    case 231: return "read_reply";
+    case 232: return "site_heartbeat";
+    case 233: return "reconcile_offer";
+    case 234: return "reconcile_ack";
+    case 250: return "borrow_request";
+    case 251: return "borrow_reply";
+    case 260: return "gossip";
+    case 261: return "escrow_transfer_request";
+    case 262: return "escrow_transfer_reply";
+    case 270: return "bc_gossip";
+    case 271: return "bc_transfer_request";
+    case 272: return "bc_transfer_reply";
+    default: return "msg";
+  }
+}
 
 /// The paper's transaction types (§3.2) plus the read-only global-snapshot
 /// transaction of §5.8.

@@ -17,14 +17,14 @@ const char* kKeyCommit = "mp/commit";
 std::string LogKey(int64_t index) { return "mp/log/" + std::to_string(index); }
 }  // namespace
 
-MultiPaxosNode::MultiPaxosNode(rt::NodeId id, rt::Region region,
-                               MultiPaxosOptions opts,
-                               std::unique_ptr<StateMachine> sm)
+MultiPaxosReplica::MultiPaxosReplica(rt::NodeId id, rt::Region region,
+                                     MultiPaxosOptions opts,
+                                     std::unique_ptr<StateMachine> sm)
     : Node(id, region), opts_(std::move(opts)), sm_(std::move(sm)) {
   SAMYA_CHECK(!opts_.group.empty());
 }
 
-void MultiPaxosNode::Start() {
+void MultiPaxosReplica::Start() {
   LoadDurableState();
   if (id() == opts_.initial_leader) {
     role_ = Role::kLeader;
@@ -38,7 +38,7 @@ void MultiPaxosNode::Start() {
   }
 }
 
-void MultiPaxosNode::HandleCrash() {
+void MultiPaxosReplica::HandleCrash() {
   role_ = Role::kFollower;
   leader_hint_ = rt::kInvalidNode;
   log_.clear();
@@ -54,14 +54,14 @@ void MultiPaxosNode::HandleCrash() {
   leader_ballot_ = Ballot{};
 }
 
-void MultiPaxosNode::HandleRecover() {
+void MultiPaxosReplica::HandleRecover() {
   // Rebuild from stable storage, re-applying the committed prefix (the state
   // machine itself is volatile; the log is the durable truth).
   LoadDurableState();
   BecomeFollower(rt::kInvalidNode);
 }
 
-void MultiPaxosNode::LoadDurableState() {
+void MultiPaxosReplica::LoadDurableState() {
   sm_->Reset();
   if (opts_.storage == nullptr) return;
   auto ballot = opts_.storage->Get(kKeyBallot);
@@ -91,7 +91,7 @@ void MultiPaxosNode::LoadDurableState() {
   ApplyCommitted();
 }
 
-void MultiPaxosNode::PersistBallot() {
+void MultiPaxosReplica::PersistBallot() {
   if (opts_.storage == nullptr) return;
   BufferWriter w;
   ballot_.EncodeTo(w);
@@ -101,7 +101,7 @@ void MultiPaxosNode::PersistBallot() {
   SAMYA_CHECK(opts_.storage->Put(kKeyCommit, wc.buffer()).ok());
 }
 
-void MultiPaxosNode::PersistEntry(int64_t index) {
+void MultiPaxosReplica::PersistEntry(int64_t index) {
   if (opts_.storage == nullptr) return;
   const LogEntry& e = log_[index];
   BufferWriter w;
@@ -110,7 +110,7 @@ void MultiPaxosNode::PersistEntry(int64_t index) {
   SAMYA_CHECK(opts_.storage->Put(LogKey(index), w.buffer()).ok());
 }
 
-void MultiPaxosNode::BecomeFollower(rt::NodeId leader) {
+void MultiPaxosReplica::BecomeFollower(rt::NodeId leader) {
   role_ = Role::kFollower;
   leader_hint_ = leader;
   inflight_index_.reset();
@@ -135,13 +135,13 @@ void MultiPaxosNode::BecomeFollower(rt::NodeId leader) {
   ResetElectionTimer();
 }
 
-void MultiPaxosNode::ResetElectionTimer() {
+void MultiPaxosReplica::ResetElectionTimer() {
   ++election_epoch_;
   const Duration jitter = rng().UniformInt(0, opts_.election_timeout);
   SetTimer(opts_.election_timeout + jitter, kElectionTimer);
 }
 
-void MultiPaxosNode::HandleTimer(uint64_t token) {
+void MultiPaxosReplica::HandleTimer(uint64_t token) {
   if (token == kHeartbeatTimer) {
     if (role_ != Role::kLeader) return;
     BufferWriter w;
@@ -161,7 +161,7 @@ void MultiPaxosNode::HandleTimer(uint64_t token) {
   ResetElectionTimer();
 }
 
-void MultiPaxosNode::StartElection() {
+void MultiPaxosReplica::StartElection() {
   role_ = Role::kCandidate;
   ballot_ = Ballot{ballot_.num + 1, id()};
   PersistBallot();
@@ -184,8 +184,8 @@ void MultiPaxosNode::StartElection() {
   }
 }
 
-void MultiPaxosNode::HandleMessage(rt::NodeId from, uint32_t type,
-                                   BufferReader& r) {
+void MultiPaxosReplica::HandleMessage(rt::NodeId from, uint32_t type,
+                                      BufferReader& r) {
   // Every field decodes through Result before any handler runs: a frame
   // truncated or corrupted at any offset is dropped whole, mutating nothing
   // (the real backend's transport can deliver such frames; see rt/wire.h).
@@ -234,7 +234,7 @@ void MultiPaxosNode::HandleMessage(rt::NodeId from, uint32_t type,
   }
 }
 
-void MultiPaxosNode::OnClientRequest(rt::NodeId from, BufferReader& r) {
+void MultiPaxosReplica::OnClientRequest(rt::NodeId from, BufferReader& r) {
   const size_t start = r.position();
   auto req = TokenRequest::DecodeFrom(r);
   if (!req.ok()) return;
@@ -277,7 +277,7 @@ void MultiPaxosNode::OnClientRequest(rt::NodeId from, BufferReader& r) {
   ProposeNext();
 }
 
-void MultiPaxosNode::ProposeNext() {
+void MultiPaxosReplica::ProposeNext() {
   if (role_ != Role::kLeader || inflight_index_.has_value() ||
       admission_queue_.empty()) {
     return;
@@ -305,8 +305,8 @@ void MultiPaxosNode::ProposeNext() {
   }
 }
 
-void MultiPaxosNode::OnPrepare(rt::NodeId from, Ballot b,
-                               int64_t from_index) {
+void MultiPaxosReplica::OnPrepare(rt::NodeId from, Ballot b,
+                                  int64_t from_index) {
   if (b <= ballot_) return;  // stale candidate
   ballot_ = b;
   PersistBallot();
@@ -333,7 +333,7 @@ void MultiPaxosNode::OnPrepare(rt::NodeId from, Ballot b,
   Send(from, kMsgMpPromise, w);
 }
 
-void MultiPaxosNode::OnPromise(rt::NodeId from, Ballot b, BufferReader& r) {
+void MultiPaxosReplica::OnPromise(rt::NodeId from, Ballot b, BufferReader& r) {
   (void)from;
   if (role_ != Role::kCandidate || b != ballot_) return;
   // Decode the whole promise into locals before mutating anything: a frame
@@ -386,9 +386,9 @@ void MultiPaxosNode::OnPromise(rt::NodeId from, Ballot b, BufferReader& r) {
   ProposeNext();
 }
 
-void MultiPaxosNode::OnAccept(rt::NodeId from, Ballot b, int64_t index,
-                              const std::vector<uint8_t>& cmd,
-                              int64_t commit_index) {
+void MultiPaxosReplica::OnAccept(rt::NodeId from, Ballot b, int64_t index,
+                                 const std::vector<uint8_t>& cmd,
+                                 int64_t commit_index) {
   if (b < ballot_) return;
   if (b > ballot_) {
     ballot_ = b;
@@ -408,7 +408,7 @@ void MultiPaxosNode::OnAccept(rt::NodeId from, Ballot b, int64_t index,
   Send(from, kMsgMpAccepted, w);
 }
 
-void MultiPaxosNode::OnAccepted(rt::NodeId from, Ballot b, int64_t index) {
+void MultiPaxosReplica::OnAccepted(rt::NodeId from, Ballot b, int64_t index) {
   (void)from;
   if (role_ != Role::kLeader || b != leader_ballot_) return;
   if (!inflight_index_.has_value() || *inflight_index_ != index) return;
@@ -431,8 +431,8 @@ void MultiPaxosNode::OnAccepted(rt::NodeId from, Ballot b, int64_t index) {
   ProposeNext();
 }
 
-void MultiPaxosNode::OnCommit(rt::NodeId from, Ballot b,
-                              int64_t commit_index) {
+void MultiPaxosReplica::OnCommit(rt::NodeId from, Ballot b,
+                                 int64_t commit_index) {
   if (b < ballot_) return;
   if (b > ballot_) {
     ballot_ = b;
@@ -448,7 +448,7 @@ void MultiPaxosNode::OnCommit(rt::NodeId from, Ballot b,
   ApplyCommitted();
 }
 
-void MultiPaxosNode::ApplyCommitted() {
+void MultiPaxosReplica::ApplyCommitted() {
   while (applied_index_ < commit_index_) {
     auto it = log_.find(applied_index_ + 1);
     if (it == log_.end()) break;  // hole: wait for catch-up via merge
@@ -458,8 +458,8 @@ void MultiPaxosNode::ApplyCommitted() {
   }
 }
 
-void MultiPaxosNode::RespondToClient(int64_t index,
-                                     const std::vector<uint8_t>& response) {
+void MultiPaxosReplica::RespondToClient(int64_t index,
+                                        const std::vector<uint8_t>& response) {
   auto it = client_by_index_.find(index);
   if (it == client_by_index_.end()) return;
   BufferWriter w;

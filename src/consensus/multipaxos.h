@@ -45,10 +45,10 @@ struct MultiPaxosOptions {
 /// transaction is replicated to a majority of geo-distributed replicas before
 /// committing. Clients send `kMsgTokenRequest` to any replica; non-leaders
 /// answer with a leader hint.
-class MultiPaxosNode : public rt::Node {
+class MultiPaxosReplica : public rt::Node {
  public:
-  MultiPaxosNode(rt::NodeId id, rt::Region region, MultiPaxosOptions opts,
-                 std::unique_ptr<StateMachine> sm);
+  MultiPaxosReplica(rt::NodeId id, rt::Region region, MultiPaxosOptions opts,
+                    std::unique_ptr<StateMachine> sm);
 
   /// Wires durable storage (call before Start; the cluster owns it).
   void set_storage(storage::StableStorage* storage) { opts_.storage = storage; }

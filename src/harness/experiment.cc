@@ -123,9 +123,6 @@ std::string PdesIneligibility(const ExperimentOptions& opts) {
   if (opts.audit.enabled) {
     return "invariant auditor reads cross-site state mid-run";
   }
-  if (opts.obs.tracing) {
-    return "tracing attached: spans append to one shared buffer";
-  }
   for (const sim::FaultOp& op : opts.fault_schedule.ops) {
     if ((op.kind == sim::FaultOp::Kind::kSetDelayFactor ||
          op.kind == sim::FaultOp::Kind::kSetLinkDelayFactor) &&
@@ -163,11 +160,11 @@ void Experiment::Setup() {
   }
 
   if (opts_.obs.any()) {
-    // Attach before any node starts: sites cache the tracer/metrics
+    // Attach before any node starts: sites cache the metrics/flight
     // pointers in Start(), so late attachment would instrument nothing.
     obs_ = std::make_shared<obs::Observability>(opts_.obs);
-    cluster_->net().set_observability(obs_->tracer(), obs_->metrics(),
-                                      obs_->profiler(), obs_->flight());
+    cluster_->net().set_observability(obs_->metrics(), obs_->profiler(),
+                                      obs_->flight());
     cluster_->env().set_profiler(obs_->profiler());
   }
 
@@ -188,37 +185,6 @@ void Experiment::Setup() {
   if (opts_.audit.enabled) {
     auditor_ = std::make_unique<InvariantAuditor>(this, opts_.audit);
     auditor_->Install();
-  }
-  FinishObsSetup();
-}
-
-void Experiment::FinishObsSetup() {
-  if (obs_ == nullptr) return;
-  obs::Tracer* tracer = obs_->tracer();
-  if (tracer == nullptr) return;
-  // Every node becomes a "process" row in the Perfetto export; give each a
-  // readable name. Servers and clients are known by id; everything between
-  // is an app manager.
-  std::vector<bool> named(cluster_->num_nodes(), false);
-  char buf[64];
-  for (sim::NodeId id : server_ids_) {
-    std::snprintf(buf, sizeof(buf), "site %d (%s)", id,
-                  sim::RegionName(cluster_->node(id)->region()));
-    tracer->SetProcessName(id, buf);
-    named[static_cast<size_t>(id)] = true;
-  }
-  for (sim::NodeId id : client_ids_) {
-    std::snprintf(buf, sizeof(buf), "client %d (%s)", id,
-                  sim::RegionName(cluster_->node(id)->region()));
-    tracer->SetProcessName(id, buf);
-    named[static_cast<size_t>(id)] = true;
-  }
-  for (size_t i = 0; i < named.size(); ++i) {
-    if (named[i]) continue;
-    const auto id = static_cast<sim::NodeId>(i);
-    std::snprintf(buf, sizeof(buf), "app manager %d (%s)", id,
-                  sim::RegionName(cluster_->node(id)->region()));
-    tracer->SetProcessName(id, buf);
   }
 }
 
@@ -441,14 +407,7 @@ ExperimentResult Experiment::Run() {
   for (auto* client : clients_) {
     const ClientStats& s = client->stats();
     result.per_client.push_back(s);
-    result.aggregate.latency.Merge(s.latency);
-    result.aggregate.acquire_latency.Merge(s.acquire_latency);
-    result.aggregate.committed_acquires += s.committed_acquires;
-    result.aggregate.committed_releases += s.committed_releases;
-    result.aggregate.committed_reads += s.committed_reads;
-    result.aggregate.rejected += s.rejected;
-    result.aggregate.dropped += s.dropped;
-    result.aggregate.sent += s.sent;
+    result.aggregate.Merge(s);
     for (size_t bin = 0; bin < s.committed.num_bins(); ++bin) {
       if (s.committed.bin(bin) > 0) {
         result.throughput.Record(static_cast<SimTime>(bin) * Seconds(1),
@@ -480,9 +439,6 @@ ExperimentResult Experiment::Run() {
   }
   if (obs_ != nullptr) {
     SnapshotMetrics();
-    if (obs::Tracer* tracer = obs_->tracer()) {
-      tracer->CloseOpenSpans(cluster_->env().Now());
-    }
     result.obs = obs_;
   }
   Logger::SetThreadSimClock(nullptr);
@@ -605,13 +561,6 @@ JsonValue BuildMetricsSnapshot(const ExperimentResult& result) {
     }
     if (const obs::EventLoopProfiler* prof = result.obs->profiler()) {
       root.Set("profiler", prof->ToJson());
-    }
-    if (const obs::Tracer* tracer = result.obs->tracer()) {
-      JsonValue t = JsonValue::MakeObject();
-      t.Set("spans", static_cast<uint64_t>(tracer->spans().size()));
-      t.Set("instants", static_cast<uint64_t>(tracer->instants().size()));
-      t.Set("messages", static_cast<uint64_t>(tracer->messages().size()));
-      root.Set("trace", std::move(t));
     }
     if (const obs::FlightRecorder* flight = result.obs->flight()) {
       // Summary only; the full event history lives in the post-mortem

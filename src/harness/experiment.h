@@ -70,7 +70,7 @@ struct ExperimentOptions {
   /// region across that many workers, bit-identical to the serial run.
   /// Silently ignored — with the reason logged and surfaced through
   /// `Experiment::pdes_fallback_reason()` — when an attached feature needs
-  /// the serial loop (schedule oracle, history recorder, auditor, tracing,
+  /// the serial loop (schedule oracle, history recorder, auditor,
   /// latency-shrinking fault schedules, or an already-parallel sweep).
   int pdes_workers = 1;
 
@@ -122,9 +122,9 @@ struct ExperimentResult {
   uint64_t dropped_violations = 0;
   uint64_t audit_ticks = 0;
 
-  /// The run's observability bundle (metrics registry / tracer / profiler),
-  /// set iff any `ExperimentOptions::obs` component was on. Shared so sweep
-  /// results can be moved around without copying trace buffers.
+  /// The run's observability bundle (metrics registry / profiler / flight
+  /// recorder), set iff any `ExperimentOptions::obs` component was on.
+  /// Shared so sweep results can be moved around without copying buffers.
   std::shared_ptr<obs::Observability> obs;
 
   double MeanTps(Duration duration) const {
@@ -200,9 +200,6 @@ class Experiment {
   void SetupReplicated();
   void SetupDemarcation();
   void SetupBoundedCounter();
-  /// Names exported trace "processes" and seeds the registry's per-site
-  /// label space (no-op when observability is off).
-  void FinishObsSetup();
   /// End-of-run registry population: site/network/per-link counters.
   void SnapshotMetrics();
   void AddClients(const std::vector<std::vector<sim::NodeId>>& servers_per_region);

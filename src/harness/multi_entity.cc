@@ -26,20 +26,6 @@ uint64_t ShardSeed(uint64_t base, uint32_t entity) {
   return base * 1000003ull + entity;
 }
 
-/// Counter/histogram fold for per-client stats. The per-second RateSeries is
-/// intentionally not folded — it stays per client, as in `Experiment::Run`.
-void FoldClientStats(ClientStats& into, const ClientStats& from) {
-  into.latency.Merge(from.latency);
-  into.acquire_latency.Merge(from.acquire_latency);
-  into.committed_acquires += from.committed_acquires;
-  into.committed_releases += from.committed_releases;
-  into.committed_reads += from.committed_reads;
-  into.rejected += from.rejected;
-  into.dropped += from.dropped;
-  into.sent += from.sent;
-  into.skipped_releases += from.skipped_releases;
-}
-
 }  // namespace
 
 EntityShardResult RunEntityShard(const MultiEntityOptions& opts,
@@ -158,7 +144,7 @@ EntityShardResult RunEntityShard(const MultiEntityOptions& opts,
 
   EntityShardResult result;
   result.entity = entity;
-  for (auto* client : clients) FoldClientStats(result.clients, client->stats());
+  for (auto* client : clients) result.clients.Merge(client->stats());
   for (auto* site : sites) {
     result.tokens_left += site->tokens_left();
     result.redistributions += site->stats().proactive_redistributions +
@@ -250,7 +236,7 @@ MultiEntityResult RunMultiEntity(const MultiEntityOptions& opts) {
   // Fold in entity order — fixed regardless of which worker ran what, so
   // the aggregate (and the merged registry) is itself deterministic.
   for (const EntityShardResult& shard : result.per_entity) {
-    FoldClientStats(result.aggregate, shard.clients);
+    result.aggregate.Merge(shard.clients);
     result.events_executed += shard.events_executed;
     result.messages_sent += shard.messages_sent;
     result.bytes_sent += shard.bytes_sent;

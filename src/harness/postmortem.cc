@@ -2,7 +2,9 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <utility>
 
@@ -252,6 +254,71 @@ PostmortemDiff DiffPostmortems(const PostmortemBundle& a,
   return d;
 }
 
+bool FlightSpan::is_round() const {
+  return std::strcmp(category, "round") == 0;
+}
+
+bool FlightSpan::operator==(const FlightSpan& o) const {
+  return std::strcmp(name, o.name) == 0 &&
+         std::strcmp(category, o.category) == 0 && site == o.site &&
+         instance == o.instance && start == o.start && end == o.end &&
+         aborted == o.aborted;
+}
+
+std::vector<FlightSpan> DeriveFlightSpans(
+    const std::vector<obs::FlightEvent>& events) {
+  struct OpenRound {
+    SimTime start = 0;
+    bool leader = false;
+    std::vector<FlightSpan> phases;  ///< the last one is still open
+  };
+  std::map<std::pair<int32_t, int64_t>, OpenRound> open;
+  std::vector<FlightSpan> out;
+  for (const obs::FlightEvent& ev : events) {
+    if (ev.kind != obs::FlightKind::kPhase) continue;
+    const std::pair<int32_t, int64_t> key{ev.site, ev.a};
+    if (ev.code == obs::kPhaseEngage) {
+      open[key] = OpenRound{ev.at, false, {}};
+      continue;
+    }
+    const char* phase = nullptr;
+    switch (ev.code) {
+      case obs::kPhaseElectionStart: phase = "election"; break;
+      case obs::kPhaseRecoveryStart: phase = "recovery"; break;
+      case obs::kPhaseAcceptStart: phase = "accept"; break;
+      case obs::kPhaseDecided: phase = "decided"; break;
+      case obs::kPhaseFinish:
+      case obs::kPhaseAbort: break;
+      default: continue;  // apply / recovery_conclude cut nothing
+    }
+    auto it = open.find(key);
+    if (it == open.end()) continue;  // engage evicted, or never engaged
+    OpenRound& round = it->second;
+    if (!round.phases.empty()) round.phases.back().end = ev.at;
+    if (phase != nullptr) {
+      round.leader = round.leader || ev.code == obs::kPhaseElectionStart ||
+                     ev.code == obs::kPhaseRecoveryStart;
+      round.phases.push_back(FlightSpan{.name = phase,
+                                        .category = "phase",
+                                        .site = ev.site,
+                                        .instance = ev.a,
+                                        .start = ev.at});
+      continue;
+    }
+    out.push_back(FlightSpan{
+        .name = round.leader ? "round.leader" : "round.cohort",
+        .category = "round",
+        .site = ev.site,
+        .instance = ev.a,
+        .start = round.start,
+        .end = ev.at,
+        .aborted = ev.code == obs::kPhaseAbort});
+    out.insert(out.end(), round.phases.begin(), round.phases.end());
+    open.erase(it);
+  }
+  return out;
+}
+
 Status ExportFlightChromeTrace(const PostmortemBundle& b,
                                const std::string& path) {
   SAMYA_ASSIGN_OR_RETURN(std::vector<obs::FlightEvent> evs,
@@ -271,6 +338,36 @@ Status ExportFlightChromeTrace(const PostmortemBundle& b,
     args.Set("name", std::string(name));
     m.Set("args", std::move(args));
     events.Append(std::move(m));
+  }
+  // Derived spans as async pairs keyed by (pid, id = instance). A round's
+  // "b" precedes its phases' pairs and its "e" follows them, so spans that
+  // share a timestamp stay well nested after the viewer's stable sort.
+  const auto emit = [&events](const FlightSpan& span, bool begin) {
+    JsonValue e = JsonValue::MakeObject();
+    e.Set("name", span.name);
+    e.Set("cat", span.category);
+    e.Set("ph", begin ? "b" : "e");
+    e.Set("pid", int64_t{span.site});
+    e.Set("id", span.instance);
+    e.Set("ts", begin ? span.start : span.end);
+    if (begin && span.aborted) {
+      JsonValue args = JsonValue::MakeObject();
+      args.Set("aborted", true);
+      e.Set("args", std::move(args));
+    }
+    events.Append(std::move(e));
+  };
+  const std::vector<FlightSpan> spans = DeriveFlightSpans(evs);
+  for (size_t i = 0; i < spans.size();) {
+    size_t j = i + 1;  // spans[i] is a round; its phases follow it
+    while (j < spans.size() && !spans[j].is_round()) ++j;
+    emit(spans[i], true);
+    for (size_t k = i + 1; k < j; ++k) {
+      emit(spans[k], true);
+      emit(spans[k], false);
+    }
+    emit(spans[i], false);
+    i = j;
   }
   for (const obs::FlightEvent& ev : evs) {
     JsonValue i = JsonValue::MakeObject();

@@ -95,9 +95,38 @@ struct PostmortemDiff {
 PostmortemDiff DiffPostmortems(const PostmortemBundle& a,
                                const PostmortemBundle& b);
 
-/// Chrome trace-event export of the bundle's flight history (instant events
-/// per site process, violation markers on their own track), loadable in
-/// Perfetto like `WriteChromeTrace` output.
+/// A sim-time interval derived from canonical flight events (DESIGN.md §8).
+///
+/// A *round* runs on one site from its `kPhaseEngage` for an instance to
+/// that instance's `kPhaseFinish` or `kPhaseAbort`. It is a leader's round
+/// ("round.leader") when the site also recorded `kPhaseElectionStart` or
+/// `kPhaseRecoveryStart` for the instance, a cohort's ("round.cohort")
+/// otherwise. A leader's *phases* ("election", "recovery", "accept",
+/// "decided") are cut at its consecutive phase events and end with the round.
+struct FlightSpan {
+  const char* name = "";      ///< static string
+  const char* category = "";  ///< "round" | "phase"
+  int32_t site = -1;
+  int64_t instance = 0;
+  SimTime start = 0;
+  SimTime end = 0;
+  bool aborted = false;  ///< the round ended in kPhaseAbort
+
+  bool is_round() const;
+  bool operator==(const FlightSpan& o) const;
+};
+
+/// Spans of `events` (canonical order, as `FlightEventsOf` returns them).
+/// Each round is followed by its phases; rounds appear in the order they
+/// ended. A round whose engage event is missing (evicted from a wrapped
+/// ring) is skipped, not invented, and a round still open at the end of the
+/// history is not emitted.
+std::vector<FlightSpan> DeriveFlightSpans(
+    const std::vector<obs::FlightEvent>& events);
+
+/// Chrome trace-event export of the bundle's flight history: instant events
+/// per site process, violation markers on their own track, and the derived
+/// spans as async "b"/"e" pairs keyed by instance. Loads in Perfetto.
 Status ExportFlightChromeTrace(const PostmortemBundle& b,
                                const std::string& path);
 

@@ -205,17 +205,7 @@ BackendRun RealHarness::RunReal() {
 
   BackendRun run;
   run.backend = "real";
-  for (const ClientStats& cs : client_stats) {
-    run.aggregate.latency.Merge(cs.latency);
-    run.aggregate.acquire_latency.Merge(cs.acquire_latency);
-    run.aggregate.committed_acquires += cs.committed_acquires;
-    run.aggregate.committed_releases += cs.committed_releases;
-    run.aggregate.committed_reads += cs.committed_reads;
-    run.aggregate.rejected += cs.rejected;
-    run.aggregate.dropped += cs.dropped;
-    run.aggregate.sent += cs.sent;
-    run.aggregate.skipped_releases += cs.skipped_releases;
-  }
+  for (const ClientStats& cs : client_stats) run.aggregate.Merge(cs);
   const rt::RealNetStats net = cluster.stats();
   run.messages_sent = net.messages_sent;
   run.messages_delivered = net.messages_delivered;

@@ -12,6 +12,18 @@ uint64_t TimeoutToken(uint64_t id) { return id << 1; }
 uint64_t RetryToken(uint64_t id) { return (id << 1) | 1; }
 }  // namespace
 
+void ClientStats::Merge(const ClientStats& other) {
+  latency.Merge(other.latency);
+  acquire_latency.Merge(other.acquire_latency);
+  committed_acquires += other.committed_acquires;
+  committed_releases += other.committed_releases;
+  committed_reads += other.committed_reads;
+  rejected += other.rejected;
+  dropped += other.dropped;
+  sent += other.sent;
+  skipped_releases += other.skipped_releases;
+}
+
 WorkloadClient::WorkloadClient(sim::NodeId id, sim::Region region,
                                WorkloadClientOptions opts,
                                std::vector<workload::Request> script)

@@ -31,6 +31,10 @@ struct ClientStats {
   uint64_t TotalCommitted() const {
     return committed_acquires + committed_releases + committed_reads;
   }
+
+  /// Folds `other`'s counters and histograms into this one. The per-second
+  /// `committed` series is left alone: it stays per client.
+  void Merge(const ClientStats& other);
 };
 
 struct WorkloadClientOptions {

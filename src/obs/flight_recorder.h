@@ -13,11 +13,13 @@ namespace samya::obs {
 /// Flight recorder (DESIGN.md §13).
 ///
 /// An always-on-capable, bounded ring of compact protocol events: what the
-/// system was doing in the moments before a violation, without the cost or
-/// the serial-fallback footprint of full tracing. Like every obs component
-/// it is a pure observer — instrumentation sites reduce to one null-pointer
-/// branch when disabled, and an armed recorder changes no RNG draw, payload
-/// byte, or event ordering (pinned by FlightRecorderDeterminismTest).
+/// system was doing in the moments before a violation, cheap enough to stay
+/// armed and with no serial fallback under PDES. It is the one event stream
+/// that post-mortems, derived spans and the Perfetto export read (see
+/// harness/postmortem.h). Like every obs component it is a pure observer —
+/// instrumentation sites reduce to one null-pointer branch when disabled,
+/// and an armed recorder changes no RNG draw, payload byte, or event
+/// ordering (pinned by FlightRecorderDeterminismTest).
 ///
 /// Two channels:
 ///  - protocol events (`FlightKind` < `kRuntimeBase`): sim-time-stamped

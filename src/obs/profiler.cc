@@ -4,7 +4,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "obs/trace.h"
+#include "common/token_api.h"
 
 namespace samya::obs {
 

@@ -111,8 +111,8 @@ void PdesCoordinator::Finalize(size_t num_nodes) {
     EnsureSerial("schedule oracle attached: exploration needs the serial loop");
     return;
   }
-  if (net_->tracer() != nullptr || net_->has_message_tap()) {
-    EnsureSerial("a tracer or message tap observes global event order");
+  if (net_->has_message_tap()) {
+    EnsureSerial("a message tap observes global event order");
     return;
   }
   if (envs_.size() < 2) {
@@ -227,10 +227,10 @@ void PdesCoordinator::RunUntil(SimTime t) {
   SAMYA_CHECK(finalized_);
   if (active()) {
     // Conditions can change between Setup and Run (or between runs): a tap
-    // or tracer attached late, or a delay factor dropped below 1, each
-    // invalidate parallel execution from here on.
-    if (net_->tracer() != nullptr || net_->has_message_tap()) {
-      EnsureSerial("a tracer or message tap observes global event order");
+    // attached late, or a delay factor dropped below 1, each invalidate
+    // parallel execution from here on.
+    if (net_->has_message_tap()) {
+      EnsureSerial("a message tap observes global event order");
     } else if (primary_->oracle() != nullptr) {
       EnsureSerial("schedule oracle attached: exploration needs the serial loop");
     } else if (net_->AnyDelayFactorBelowOne()) {

@@ -83,7 +83,7 @@ struct PdesRunStats {
 ///
 /// When parallel execution cannot be bit-identical — a schedule oracle is
 /// attached, a nemesis shrinks delay factors below 1 (which would shrink
-/// the lookahead mid-run), a message tap or tracer observes global order,
+/// the lookahead mid-run), a message tap observes global order,
 /// or there are not enough partitions — the coordinator falls back to the
 /// serial loop and records why (`fallback_reason`).
 class PdesCoordinator final : public GlobalEventSink {

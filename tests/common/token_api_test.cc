@@ -73,5 +73,14 @@ TEST(TokenApiTest, DefaultEntityIsZero) {
   EXPECT_EQ(TokenRequest::DecodeFrom(r)->entity, 0u);
 }
 
+TEST(TokenApiTest, MessageTypeNames) {
+  EXPECT_STREQ(MessageTypeName(kMsgTokenRequest), "token_request");
+  EXPECT_STREQ(MessageTypeName(200), "election_get_value");
+  EXPECT_STREQ(MessageTypeName(204), "decision");
+  EXPECT_STREQ(MessageTypeName(122), "raft_append_entries");
+  EXPECT_STREQ(MessageTypeName(140), "msg");  // unassigned range
+  EXPECT_STREQ(MessageTypeName(9999), "msg");
+}
+
 }  // namespace
 }  // namespace samya

@@ -16,7 +16,7 @@ using workload::Request;
 /// Builds a 5-replica group in the paper's MultiPaxSys placement: 3 US
 /// regions plus Europe and Asia, leader in us-west1.
 struct MpDeployment {
-  std::vector<MultiPaxosNode*> replicas;
+  std::vector<MultiPaxosReplica*> replicas;
 };
 
 MpDeployment MakeGroup(sim::Cluster& cluster, int64_t limit,
@@ -31,7 +31,7 @@ MpDeployment MakeGroup(sim::Cluster& cluster, int64_t limit,
     opts.group = ids;
     opts.initial_leader = 0;
     opts.max_pending = max_pending;
-    auto* node = cluster.AddNode<MultiPaxosNode>(
+    auto* node = cluster.AddNode<MultiPaxosReplica>(
         kPlacement[i], opts, std::make_unique<TokenStateMachine>(limit));
     node->set_storage(cluster.StorageFor(node->id()));
     d.replicas.push_back(node);

@@ -115,5 +115,29 @@ TEST(ExperimentTest, ScalesToTwentySites) {
             5000);
 }
 
+TEST(ExperimentTest, AggregateCountsSkippedReleases) {
+  // A release the client holds no tokens for is skipped, not sent (§3.2).
+  using Type = workload::Request::Type;
+  ExperimentOptions opts;
+  opts.system = SystemKind::kSamyaMajority;
+  opts.duration = Seconds(10);
+  opts.scripts_override = {
+      {{Seconds(1), Type::kRelease, 1},
+       {Seconds(2), Type::kAcquire, 1},
+       {Seconds(3), Type::kRelease, 1},
+       {Seconds(4), Type::kRelease, 1}},
+      {{Seconds(1), Type::kRelease, 1}}};
+  Experiment experiment(opts);
+  experiment.Setup();
+  const ExperimentResult result = experiment.Run();
+  uint64_t per_client = 0;
+  for (const ClientStats& s : result.per_client) {
+    per_client += s.skipped_releases;
+  }
+  EXPECT_EQ(per_client, 3u);
+  EXPECT_EQ(result.aggregate.skipped_releases, per_client);
+  EXPECT_EQ(result.aggregate.sent, 2u);
+}
+
 }  // namespace
 }  // namespace samya::harness

@@ -9,9 +9,11 @@
 
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "common/json.h"
 #include "harness/experiment.h"
+#include "harness/postmortem.h"
 #include "sim/nemesis.h"
 #include "sim/schedule_oracle.h"
 
@@ -39,6 +41,9 @@ struct RunOut {
   std::string fallback;
   std::string metrics_json;       ///< "" when metrics are off
   uint64_t profiler_events = 0;   ///< 0 when the profiler is off
+  uint64_t flight_digest = 0;     ///< 0 when the flight recorder is off
+  uint64_t flight_dropped = 0;    ///< events evicted from the ring
+  std::vector<FlightSpan> spans;  ///< derived from the flight history
 };
 
 RunOut RunOnce(RunSpec spec) {
@@ -72,6 +77,11 @@ RunOut RunOnce(RunSpec spec) {
   }
   if (r.obs != nullptr && r.obs->profiler() != nullptr) {
     out.profiler_events = r.obs->profiler()->events();
+  }
+  if (r.obs != nullptr && r.obs->flight() != nullptr) {
+    out.flight_digest = r.obs->flight()->Digest();
+    out.flight_dropped = r.obs->flight()->dropped();
+    out.spans = DeriveFlightSpans(r.obs->flight()->Canonical());
   }
   return out;
 }
@@ -194,9 +204,9 @@ TEST(PdesDeterminismTest, ParallelRunsAreRepeatable) {
   EXPECT_EQ(a.digest, b.digest);
 }
 
-// Metrics + profiler attached (tracing stays off — it forces serial): the
-// merged per-partition registries must serialize to exactly the serial
-// run's JSON, and the profiler must account exactly the serial event count.
+// Metrics + profiler attached: the merged per-partition registries must
+// serialize to exactly the serial run's JSON, and the profiler must account
+// exactly the serial event count.
 TEST(PdesDeterminismTest, ObsMergeMatchesSerial) {
   obs::ObsOptions obs;
   obs.metrics = true;
@@ -209,6 +219,24 @@ TEST(PdesDeterminismTest, ObsMergeMatchesSerial) {
   EXPECT_EQ(par.metrics_json, serial.metrics_json);
   EXPECT_GT(serial.profiler_events, 0u);
   EXPECT_EQ(par.profiler_events, serial.profiler_events);
+}
+
+// The full observability stack keeps PDES active, and the merged flight
+// history is the serial run's: same digest, same derived round and phase
+// spans.
+TEST(PdesDeterminismTest, FullObsFlightSpansMatchSerial) {
+  const RunOut serial = RunOnce({.workers = 1, .obs = obs::ObsOptions::All()});
+  ASSERT_EQ(serial.flight_dropped, 0u) << "ring wrapped; digest is partial";
+  ASSERT_FALSE(serial.spans.empty());
+  for (int workers : {2, 4}) {
+    const RunOut par =
+        RunOnce({.workers = workers, .obs = obs::ObsOptions::All()});
+    EXPECT_TRUE(par.active) << "workers=" << workers;
+    EXPECT_EQ(par.fallback, "") << "workers=" << workers;
+    EXPECT_EQ(par.digest, serial.digest) << "workers=" << workers;
+    EXPECT_EQ(par.flight_digest, serial.flight_digest) << "workers=" << workers;
+    EXPECT_TRUE(par.spans == serial.spans) << "workers=" << workers;
+  }
 }
 
 // Observability must stay a pure observer under parallel execution too.

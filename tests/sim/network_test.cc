@@ -441,7 +441,7 @@ TEST_F(NetworkTest, LinkCountersAreOffWithoutMetrics) {
 
 TEST_F(NetworkTest, LinkCounterDropAccountingSumsToAttempts) {
   obs::MetricsRegistry metrics;
-  cluster_.net().set_observability(nullptr, &metrics, nullptr);
+  cluster_.net().set_observability(&metrics, nullptr);
 
   // Exercise every lifecycle outcome: plain deliveries, a send-time loss,
   // a send-time link cut, a delivery-time crash drop, and duplicates.

@@ -32,7 +32,6 @@
 #include "harness/chaos.h"
 #include "harness/parallel_runner.h"
 #include "harness/postmortem.h"
-#include "obs/trace_export.h"
 
 using namespace samya;           // NOLINT — tool code
 using namespace samya::harness;  // NOLINT
@@ -101,31 +100,19 @@ bool WriteCase(const std::string& corpus_dir, const ChaosCase& c) {
   return true;
 }
 
-/// Re-runs a (minimized) violating case with the causal tracer attached and
-/// ships the Chrome trace plus a self-contained post-mortem bundle next to
-/// the corpus file, so every chaos violation arrives with its full causal
-/// story. Tracing rides out-of-band, so the re-run replays the identical
-/// event sequence that violated — the bundle's flight-recorder history
-/// belongs to the exact reproducer committed to the corpus.
-void WriteViolationTrace(const std::string& corpus_dir, const ChaosCase& c,
-                         const AuditOptions& audit) {
+/// Re-runs a (minimized) violating case with metrics and the flight
+/// recorder armed and ships a self-contained post-mortem bundle next to the
+/// corpus file. Both are pure observers, so the re-run replays the
+/// identical event sequence that violated: the bundle's flight history
+/// belongs to the exact reproducer committed to the corpus, and
+/// `samya_postmortem export` turns it into a Perfetto trace.
+void WriteViolationPostmortem(const std::string& corpus_dir,
+                              const ChaosCase& c, const AuditOptions& audit) {
   ExperimentOptions opts = MakeChaosOptions(c, audit);
-  opts.obs.tracing = true;
   opts.obs.metrics = true;
   Experiment experiment(opts);
   experiment.Setup();
   const ExperimentResult r = experiment.Run();
-  const std::string path = CaseBasename(corpus_dir, c) + "_trace.json";
-  const Status st = obs::WriteChromeTrace(*r.obs->tracer(), path);
-  if (!st.ok()) {
-    std::fprintf(stderr, "cannot write trace: %s\n", st.message().c_str());
-    return;
-  }
-  std::printf("  wrote %s (%zu spans, %zu messages, reproduced %zu "
-              "violation(s))\n",
-              path.c_str(), r.obs->tracer()->spans().size(),
-              r.obs->tracer()->messages().size(), r.violations.size());
-
   const PostmortemBundle bundle =
       MakePostmortem("chaos_search", c.violation_check, c.ToJson(), r);
   const std::string bundle_path =
@@ -294,7 +281,7 @@ int main(int argc, char** argv) {
     if (!corpus_dir.empty()) {
       minimized.note = "found by chaos_search; minimized by ddmin";
       WriteCase(corpus_dir, minimized);
-      WriteViolationTrace(corpus_dir, minimized, audit);
+      WriteViolationPostmortem(corpus_dir, minimized, audit);
     }
   }
 

@@ -12,17 +12,22 @@
 //     (default: "<case>_postmortem.json"). Works on clean cases too — a
 //     clean bundle is the baseline side of a diff.
 //   report FILE [--last N] [--site S]
-//     Causally-ordered timeline of the flight history (canonical
-//     (at, site, seq) order). --last N keeps the N events up to and
+//     A summary, then the causally-ordered timeline of the flight history
+//     (canonical (at, site, seq) order). The summary holds the derived
+//     round/phase spans (count, p50/p99/max by name), the 5 slowest rounds
+//     with their phases, per-wire-type sends/drops/bytes, Avantan messages
+//     per leader round (the Table 3 view), and the disconnected-epoch and
+//     reconcile tables. --last N keeps the N timeline events up to and
 //     including the first violation marker (end of history when none);
-//     --site S filters to one site's lane.
+//     --site S filters everything to one site's lane.
 //   diff A B
 //     First-divergence comparison of two bundles' protocol histories,
 //     after trimming both to max(complete_from). Exit 0 when identical,
 //     1 at the first divergent event (printed with its index).
 //   export FILE [--out FILE]
-//     Chrome trace-event JSON of the flight history ("<FILE minus
-//     .json>_perfetto.json" by default), loadable in ui.perfetto.dev.
+//     Chrome trace-event JSON of the flight history and its derived spans
+//     ("<FILE minus .json>_perfetto.json" by default), loadable in
+//     ui.perfetto.dev.
 //
 // Exit status: 0 ok / histories identical, 1 diff divergence, 2 usage or
 // I/O error.
@@ -32,15 +37,19 @@
 //   samya_postmortem report /tmp/corpus/chaos_..._postmortem.json --last 40
 //   samya_postmortem diff serial_postmortem.json pdes_postmortem.json
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/json.h"
+#include "common/token_api.h"
 #include "harness/chaos.h"
 #include "harness/explore.h"
 #include "harness/postmortem.h"
@@ -132,6 +141,216 @@ int RunCapture(const std::string& case_path, std::string out_path) {
   return 0;
 }
 
+int64_t Percentile(const std::vector<int64_t>& sorted, double p) {
+  if (sorted.empty()) return 0;
+  const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
+  size_t idx = static_cast<size_t>(rank + 0.5);
+  if (idx >= sorted.size()) idx = sorted.size() - 1;
+  return sorted[idx];
+}
+
+void PrintSpanStats(const std::vector<FlightSpan>& spans) {
+  std::map<std::string, std::vector<int64_t>> by_name;
+  for (const FlightSpan& s : spans) by_name[s.name].push_back(s.end - s.start);
+  std::printf("\nspans (sim-time us):\n");
+  std::printf("  %-14s %8s %10s %10s %10s\n", "name", "count", "p50", "p99",
+              "max");
+  for (auto& [name, durs] : by_name) {
+    std::sort(durs.begin(), durs.end());
+    std::printf("  %-14s %8zu %10lld %10lld %10lld\n", name.c_str(),
+                durs.size(), static_cast<long long>(Percentile(durs, 50)),
+                static_cast<long long>(Percentile(durs, 99)),
+                static_cast<long long>(durs.back()));
+  }
+}
+
+void PrintSlowestRounds(const std::vector<FlightSpan>& spans) {
+  std::vector<size_t> rounds;  // indices; each round's phases follow it
+  for (size_t i = 0; i < spans.size(); ++i) {
+    if (spans[i].is_round()) rounds.push_back(i);
+  }
+  const auto dur = [&spans](size_t i) { return spans[i].end - spans[i].start; };
+  std::stable_sort(rounds.begin(), rounds.end(),
+                   [&dur](size_t a, size_t b) { return dur(a) > dur(b); });
+  const size_t n = std::min<size_t>(5, rounds.size());
+  std::printf("\nslowest %zu round(s):\n", n);
+  for (size_t r = 0; r < n; ++r) {
+    const FlightSpan& round = spans[rounds[r]];
+    std::printf("  %-12s site=%d instance=%lld start=%lldus dur=%lldus%s\n",
+                round.name, round.site, static_cast<long long>(round.instance),
+                static_cast<long long>(round.start),
+                static_cast<long long>(dur(rounds[r])),
+                round.aborted ? " aborted" : "");
+    for (size_t k = rounds[r] + 1; k < spans.size() && !spans[k].is_round();
+         ++k) {
+      std::printf("    +%-9lld %-10s %lldus\n",
+                  static_cast<long long>(spans[k].start - round.start),
+                  spans[k].name, static_cast<long long>(dur(k)));
+    }
+  }
+}
+
+/// Per wire type: send attempts, duplicates, drops by fate, and bytes; then
+/// the Table 3 view, Avantan (200-229) sends per leader round.
+void PrintMessageStats(const std::vector<obs::FlightEvent>& evs,
+                       const std::vector<FlightSpan>& spans) {
+  struct Row {
+    uint64_t sends = 0, dup = 0, drop_send = 0, crashed = 0, partition = 0,
+             link = 0, loss = 0;
+    int64_t bytes = 0;
+  };
+  std::map<int64_t, Row> by_type;
+  for (const obs::FlightEvent& ev : evs) {
+    if (ev.kind == obs::FlightKind::kMsgSend) {
+      Row& row = by_type[ev.a];
+      if (ev.code == obs::kSendDuplicated) {
+        ++row.dup;
+        continue;
+      }
+      ++row.sends;
+      row.bytes += ev.c;
+      if (ev.code == obs::kSendDroppedAtSend) ++row.drop_send;
+    } else if (ev.kind == obs::FlightKind::kMsgDeliver) {
+      Row& row = by_type[ev.a];
+      switch (ev.code) {
+        case obs::kDeliverDroppedCrashed: ++row.crashed; break;
+        case obs::kDeliverDroppedPartition: ++row.partition; break;
+        case obs::kDeliverDroppedLink: ++row.link; break;
+        case obs::kDeliverDroppedLoss: ++row.loss; break;
+        default: break;
+      }
+    }
+  }
+  if (by_type.empty()) return;
+  std::printf("\nmessages by wire type (drops by fate):\n");
+  std::printf("  %-24s %9s %6s %9s %8s %9s %6s %6s %11s\n", "type", "sends",
+              "dup", "drop@send", "crashed", "partition", "link", "loss",
+              "bytes");
+  for (const auto& [type, row] : by_type) {
+    std::printf("  %-24s %9llu %6llu %9llu %8llu %9llu %6llu %6llu %11lld\n",
+                MessageTypeName(static_cast<uint32_t>(type)),
+                static_cast<unsigned long long>(row.sends),
+                static_cast<unsigned long long>(row.dup),
+                static_cast<unsigned long long>(row.drop_send),
+                static_cast<unsigned long long>(row.crashed),
+                static_cast<unsigned long long>(row.partition),
+                static_cast<unsigned long long>(row.link),
+                static_cast<unsigned long long>(row.loss),
+                static_cast<long long>(row.bytes));
+  }
+  uint64_t leader_rounds = 0;
+  for (const FlightSpan& s : spans) {
+    if (std::strcmp(s.name, "round.leader") == 0) ++leader_rounds;
+  }
+  if (leader_rounds == 0) return;
+  std::printf("\nmessages per leader round (%llu rounds):\n",
+              static_cast<unsigned long long>(leader_rounds));
+  for (const auto& [type, row] : by_type) {
+    if (type < 200 || type >= 230) continue;
+    std::printf("  %-24s %8.2f\n",
+                MessageTypeName(static_cast<uint32_t>(type)),
+                static_cast<double>(row.sends) /
+                    static_cast<double>(leader_rounds));
+  }
+}
+
+/// Degraded-mode forensics: one row per disconnected epoch (enter ->
+/// reconcile exit) and per reconcile handshake. `served`/`appends` are the
+/// site's cumulative counters at exit (the events carry running totals).
+void PrintDegradedSpans(const std::vector<obs::FlightEvent>& evs) {
+  struct EpochSpan {
+    int32_t site = -1;
+    int64_t epoch = 0;
+    SimTime enter = -1;
+    SimTime exit = -1;
+    int64_t served_total = 0;
+    int64_t appends_total = 0;
+  };
+  struct ReconSpan {
+    SimTime offered = -1;
+    SimTime first_ack = -1;
+    int64_t ops_logged = 0;
+    int64_t net_delta = 0;
+    int acks = 0;
+  };
+  std::vector<EpochSpan> epochs;
+  std::map<std::pair<int32_t, int64_t>, size_t> open;  // (site, epoch)
+  std::map<std::pair<int32_t, int64_t>, ReconSpan> recons;
+  for (const obs::FlightEvent& ev : evs) {
+    const std::pair<int32_t, int64_t> key{ev.site, ev.a};
+    if (ev.kind == obs::FlightKind::kEpochEnter) {
+      open[key] = epochs.size();
+      epochs.push_back(EpochSpan{ev.site, ev.a, ev.at, -1, 0, 0});
+    } else if (ev.kind == obs::FlightKind::kEpochExit) {
+      auto it = open.find(key);
+      if (it == open.end()) {
+        // Exit without a retained enter (the ring wrapped past it).
+        epochs.push_back(EpochSpan{ev.site, ev.a, -1, -1, 0, 0});
+        it = open.emplace(key, epochs.size() - 1).first;
+      }
+      EpochSpan& s = epochs[it->second];
+      s.exit = ev.at;
+      s.served_total = ev.b;
+      s.appends_total = ev.c;
+      open.erase(it);
+    } else if (ev.kind == obs::FlightKind::kReconcileOffer) {
+      ReconSpan& r = recons[key];
+      if (r.offered < 0) r.offered = ev.at;
+      r.ops_logged = ev.b;
+      r.net_delta = ev.c;
+    } else if (ev.kind == obs::FlightKind::kReconcileAck) {
+      ReconSpan& r = recons[key];
+      if (r.first_ack < 0) r.first_ack = ev.at;
+      ++r.acks;
+    }
+  }
+  if (!epochs.empty()) {
+    std::printf("\ndisconnected epochs:\n");
+    std::printf("  %-5s %-6s %12s %12s %12s %10s %8s\n", "site", "epoch",
+                "enter", "exit", "duration", "served", "appends");
+    for (const EpochSpan& s : epochs) {
+      char dur[24];
+      if (s.enter >= 0 && s.exit >= 0) {
+        std::snprintf(dur, sizeof(dur), "%lldus",
+                      static_cast<long long>(s.exit - s.enter));
+      } else {
+        std::snprintf(dur, sizeof(dur), "%s",
+                      s.exit < 0 ? "unreconciled" : "?");
+      }
+      std::printf("  %-5d %-6lld %12lld %12lld %12s %10lld %8lld\n", s.site,
+                  static_cast<long long>(s.epoch),
+                  static_cast<long long>(s.enter),
+                  static_cast<long long>(s.exit), dur,
+                  static_cast<long long>(s.served_total),
+                  static_cast<long long>(s.appends_total));
+    }
+  }
+  if (!recons.empty()) {
+    std::printf("\nreconcile handshakes:\n");
+    std::printf("  %-5s %-6s %12s %12s %8s %10s %6s\n", "site", "epoch",
+                "offered", "first ack", "ops", "net delta", "acks");
+    for (const auto& [key, r] : recons) {
+      std::printf("  %-5d %-6lld %12lld %12lld %8lld %10lld %6d\n", key.first,
+                  static_cast<long long>(key.second),
+                  static_cast<long long>(r.offered),
+                  static_cast<long long>(r.first_ack),
+                  static_cast<long long>(r.ops_logged),
+                  static_cast<long long>(r.net_delta), r.acks);
+    }
+  }
+}
+
+void PrintSummary(const std::vector<obs::FlightEvent>& evs) {
+  const std::vector<FlightSpan> spans = DeriveFlightSpans(evs);
+  if (!spans.empty()) {
+    PrintSpanStats(spans);
+    PrintSlowestRounds(spans);
+  }
+  PrintMessageStats(evs, spans);
+  PrintDegradedSpans(evs);
+  std::printf("\n");
+}
+
 int RunReport(const std::string& path, int64_t last, int32_t site_filter) {
   PostmortemBundle b;
   if (int rc = LoadOrDie(path, &b); rc != 0) return rc;
@@ -183,6 +402,7 @@ int RunReport(const std::string& path, int64_t last, int32_t site_filter) {
   const SimTime complete_from = FlightCompleteFrom(b);
   std::printf("  flight: %zu event(s) retained, complete from t=%s\n",
               evs.size(), FormatDuration(complete_from).c_str());
+  PrintSummary(evs);
   if (begin > 0) std::printf("  ... %zu earlier event(s) elided\n", begin);
   for (size_t i = begin; i < end; ++i) {
     const bool marker = evs[i].kind == obs::FlightKind::kViolation;
