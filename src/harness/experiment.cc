@@ -75,7 +75,8 @@ Experiment::Experiment(ExperimentOptions opts) : opts_(std::move(opts)) {
   SAMYA_CHECK_GE(opts_.num_sites, 1);
 }
 
-const workload::DemandTrace& Experiment::CompressedBaseTrace() const {
+const std::shared_ptr<const workload::DemandTrace>&
+Experiment::CompressedBaseTrace() const {
   if (compressed_base_ == nullptr) {
     auto trace = workload::GenerateAzureTrace(opts_.trace);
     double scale = opts_.load_scale;
@@ -85,14 +86,14 @@ const workload::DemandTrace& Experiment::CompressedBaseTrace() const {
     if (scale != 1.0) {
       trace = workload::ScaleCounts(trace, scale, opts_.seed + 100);
     }
-    compressed_base_ = std::make_unique<workload::DemandTrace>(
+    compressed_base_ = std::make_shared<const workload::DemandTrace>(
         workload::CompressTime(trace, opts_.compress_factor));
   }
-  return *compressed_base_;
+  return compressed_base_;
 }
 
 std::vector<double> Experiment::RegionDemandSeries(int region_index) const {
-  const workload::DemandTrace& compressed = CompressedBaseTrace();
+  const workload::DemandTrace& compressed = *CompressedBaseTrace();
   const Duration day = compressed.interval() * 288;
   auto shifted = workload::PhaseShift(
       compressed, day * region_index / 5);
@@ -357,27 +358,27 @@ void Experiment::SetupReplicated() {
   AddClients(servers_per_region);
 }
 
+workload::RequestStream Experiment::RegionScript(int region_index) const {
+  const auto r = static_cast<size_t>(region_index);
+  if (!opts_.scripts_override.empty()) {
+    // Fixed explorer scenario; missing entries leave the region idle.
+    return r < opts_.scripts_override.size()
+               ? opts_.scripts_override[r]
+               : std::vector<workload::Request>{};
+  }
+  const std::shared_ptr<const workload::DemandTrace>& compressed =
+      CompressedBaseTrace();
+  const Duration day = compressed->interval() * 288;
+  workload::RequestStreamOptions ropts;
+  ropts.read_ratio = opts_.read_ratio;
+  ropts.horizon = opts_.duration;
+  ropts.seed = opts_.seed + 7 + r;
+  return workload::RequestStream(compressed, day * region_index / 5, ropts);
+}
+
 void Experiment::AddClients(
     const std::vector<std::vector<sim::NodeId>>& servers_per_region) {
   for (int r = 0; r < 5; ++r) {
-    std::vector<workload::Request> script;
-    if (!opts_.scripts_override.empty()) {
-      // Fixed explorer scenario; missing entries leave the region idle.
-      if (static_cast<size_t>(r) < opts_.scripts_override.size()) {
-        script = opts_.scripts_override[static_cast<size_t>(r)];
-      }
-    } else {
-      const workload::DemandTrace& compressed = CompressedBaseTrace();
-      const Duration day = compressed.interval() * 288;
-      auto shifted = workload::PhaseShift(compressed, day * r / 5);
-
-      workload::RequestStreamOptions ropts;
-      ropts.read_ratio = opts_.read_ratio;
-      ropts.horizon = opts_.duration;
-      ropts.seed = opts_.seed + 7 + static_cast<uint64_t>(r);
-      script = workload::GenerateRequests(shifted, ropts);
-    }
-
     WorkloadClientOptions copts;
     copts.servers = servers_per_region[static_cast<size_t>(r)];
     copts.request_timeout = opts_.client_timeout;
@@ -386,7 +387,7 @@ void Experiment::AddClients(
     copts.window = opts_.client_window;
     copts.history = opts_.history;
     auto* client = cluster_->AddNode<WorkloadClient>(
-        kClientRegions[static_cast<size_t>(r)], copts, std::move(script));
+        kClientRegions[static_cast<size_t>(r)], copts, RegionScript(r));
     clients_.push_back(client);
     client_ids_.push_back(client->id());
   }
@@ -408,6 +409,7 @@ ExperimentResult Experiment::Run() {
     const ClientStats& s = client->stats();
     result.per_client.push_back(s);
     result.aggregate.Merge(s);
+    result.in_flight += client->outstanding();
     for (size_t bin = 0; bin < s.committed.num_bins(); ++bin) {
       if (s.committed.bin(bin) > 0) {
         result.throughput.Record(static_cast<SimTime>(bin) * Seconds(1),
@@ -540,6 +542,7 @@ JsonValue BuildMetricsSnapshot(const ExperimentResult& result) {
   summary.Set("rejected", result.aggregate.rejected);
   summary.Set("dropped", result.aggregate.dropped);
   summary.Set("sent", result.aggregate.sent);
+  summary.Set("in_flight", result.in_flight);
   summary.Set("instances_completed", result.instances_completed);
   summary.Set("instances_aborted", result.instances_aborted);
   summary.Set("proactive_redistributions", result.proactive_redistributions);

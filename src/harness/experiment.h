@@ -103,6 +103,11 @@ struct ExperimentOptions {
 struct ExperimentResult {
   ClientStats aggregate;              ///< merged over all clients
   std::vector<ClientStats> per_client;
+  /// Requests still outstanding at the clients when the run stopped: sent
+  /// but neither committed, rejected nor dropped, so that
+  /// aggregate.sent = committed + rejected + dropped + in_flight. A closed
+  /// loop at full trace volume can still be issuing when `Run` stops.
+  uint64_t in_flight = 0;
   RateSeries throughput{Seconds(1)};  ///< committed txns/s over time
 
   // Samya-specific counters (zero for baselines).
@@ -204,13 +209,18 @@ class Experiment {
   void SnapshotMetrics();
   void AddClients(const std::vector<std::vector<sim::NodeId>>& servers_per_region);
   std::vector<double> RegionDemandSeries(int region_index) const;
+  /// Region `region_index`'s client script: its `scripts_override` entry,
+  /// or its phase-shifted slice of the compressed base trace, streamed.
+  workload::RequestStream RegionScript(int region_index) const;
   /// The generated, load-scaled, time-compressed base trace. Every region's
   /// demand is a phase shift of this one series, so it is computed once and
-  /// cached — regenerating it per region/site dominated `Setup` cost.
-  const workload::DemandTrace& CompressedBaseTrace() const;
+  /// cached — regenerating it per region/site dominated `Setup` cost. The
+  /// clients' request streams share it.
+  const std::shared_ptr<const workload::DemandTrace>& CompressedBaseTrace()
+      const;
 
   ExperimentOptions opts_;
-  mutable std::unique_ptr<workload::DemandTrace> compressed_base_;
+  mutable std::shared_ptr<const workload::DemandTrace> compressed_base_;
   std::unique_ptr<sim::Cluster> cluster_;
   std::unique_ptr<sim::FaultInjector> faults_;
   std::shared_ptr<obs::Observability> obs_;

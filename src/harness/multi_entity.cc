@@ -43,9 +43,9 @@ EntityShardResult RunEntityShard(const MultiEntityOptions& opts,
   if (opts.load_scale != 1.0) {
     trace = workload::ScaleCounts(trace, opts.load_scale, shard_seed + 100);
   }
-  const workload::DemandTrace compressed =
-      workload::CompressTime(trace, opts.compress_factor);
-  const Duration day = compressed.interval() * 288;
+  const auto compressed = std::make_shared<const workload::DemandTrace>(
+      workload::CompressTime(trace, opts.compress_factor));
+  const Duration day = compressed->interval() * 288;
 
   sim::Cluster cluster(shard_seed);
 
@@ -61,7 +61,7 @@ EntityShardResult RunEntityShard(const MultiEntityOptions& opts,
     sopts.seasonal_period = 288;
     if (sopts.enable_prediction && sopts.training_series.empty()) {
       const int r = i % kRegions;
-      auto shifted = workload::PhaseShift(compressed, day * r / kRegions);
+      auto shifted = workload::PhaseShift(*compressed, day * r / kRegions);
       sopts.training_series = shifted.CreationSeries();
       const int sites_in_region = (n + kRegions - 1 - r) / kRegions;
       if (sites_in_region > 1) {
@@ -117,16 +117,14 @@ EntityShardResult RunEntityShard(const MultiEntityOptions& opts,
     router_by_region[static_cast<size_t>(r)] = router->id();
   }
 
-  // Five regional clients, each playing its phase-shifted slice of the
+  // Five regional clients, each streaming its phase-shifted slice of the
   // entity's trace and stamping the entity id on every request.
   std::vector<WorkloadClient*> clients;
   for (int r = 0; r < kRegions; ++r) {
-    auto shifted = workload::PhaseShift(compressed, day * r / kRegions);
     workload::RequestStreamOptions ropts;
     ropts.read_ratio = opts.read_ratio;
     ropts.horizon = opts.duration;
     ropts.seed = shard_seed + 7 + static_cast<uint64_t>(r);
-    auto script = workload::GenerateRequests(shifted, ropts);
 
     WorkloadClientOptions copts;
     copts.servers = {router_by_region[static_cast<size_t>(r)]};
@@ -134,7 +132,8 @@ EntityShardResult RunEntityShard(const MultiEntityOptions& opts,
     copts.max_attempts = opts.client_attempts;
     copts.entity = entity;
     auto* client = cluster.AddNode<WorkloadClient>(
-        sim::kPaperRegions[static_cast<size_t>(r)], copts, std::move(script));
+        sim::kPaperRegions[static_cast<size_t>(r)], copts,
+        workload::RequestStream(compressed, day * r / kRegions, ropts));
     clients.push_back(client);
   }
 

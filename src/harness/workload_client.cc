@@ -26,7 +26,7 @@ void ClientStats::Merge(const ClientStats& other) {
 
 WorkloadClient::WorkloadClient(sim::NodeId id, sim::Region region,
                                WorkloadClientOptions opts,
-                               std::vector<workload::Request> script)
+                               workload::RequestStream script)
     : Node(id, region), opts_(std::move(opts)), script_(std::move(script)) {
   SAMYA_CHECK(!opts_.servers.empty());
   // Request ids must be globally unique: clients can share an app manager,
@@ -41,7 +41,7 @@ void WorkloadClient::HandleCrash() {
   outstanding_.clear();
   // A crashed client stops issuing (Fig 3c crashes the region's client with
   // its site).
-  next_request_ = script_.size();
+  script_.Stop();
 }
 
 sim::NodeId WorkloadClient::PreferredServer() const {
@@ -58,7 +58,7 @@ sim::NodeId WorkloadClient::NextServer(sim::NodeId previous) const {
 }
 
 void WorkloadClient::ScheduleNext() {
-  if (next_request_ >= script_.size() || issue_timer_armed_) return;
+  if (script_.done() || issue_timer_armed_) return;
   if (opts_.closed_loop) {
     // Issue immediately whenever the window has room.
     if (outstanding_.size() < static_cast<size_t>(opts_.window)) {
@@ -67,18 +67,19 @@ void WorkloadClient::ScheduleNext() {
     }
     return;
   }
-  const SimTime at = script_[next_request_].at;
+  const SimTime at = script_.peek().at;
   const Duration delay = at > Now() ? at - Now() : 0;
   issue_timer_armed_ = true;
   SetTimer(delay, kIssueNext);
 }
 
 void WorkloadClient::IssueNext() {
-  while (next_request_ < script_.size() &&
+  while (!script_.done() &&
          (opts_.closed_loop
               ? outstanding_.size() < static_cast<size_t>(opts_.window)
-              : script_[next_request_].at <= Now())) {
-    const workload::Request& r = script_[next_request_++];
+              : script_.peek().at <= Now())) {
+    const workload::Request r = script_.peek();
+    script_.pop();
     if (r.type == workload::Request::Type::kRelease) {
       // §3.2: never return more tokens than held.
       if (balance_ < r.amount) {

@@ -64,16 +64,16 @@ struct WorkloadClientOptions {
 /// \brief Trace-driven open-loop client (§5.2: one per region, all issuing
 /// transactions simultaneously).
 ///
-/// Plays a scripted request stream against any system speaking the token
-/// API. Retries `kNotLeader` at the hinted leader and `kOverloaded` after a
-/// backoff; gives up after `max_attempts`, counting the request as dropped.
+/// Plays a request stream (generated one trace interval at a time, or a
+/// fixed script) against any system speaking the token API. Retries
+/// `kNotLeader` at the hinted leader and `kOverloaded` after a backoff;
+/// gives up after `max_attempts`, counting the request as dropped.
 /// Records commit latency (client-observed, as in the paper) and per-second
 /// committed throughput.
 class WorkloadClient : public sim::Node {
  public:
   WorkloadClient(sim::NodeId id, sim::Region region,
-                 WorkloadClientOptions opts,
-                 std::vector<workload::Request> script);
+                 WorkloadClientOptions opts, workload::RequestStream script);
 
   void Start() override;
   void HandleMessage(sim::NodeId from, uint32_t type,
@@ -101,8 +101,7 @@ class WorkloadClient : public sim::Node {
   sim::NodeId NextServer(sim::NodeId previous) const;
 
   WorkloadClientOptions opts_;
-  std::vector<workload::Request> script_;
-  size_t next_request_ = 0;
+  workload::RequestStream script_;
   uint64_t next_request_id_ = 1;
   sim::NodeId leader_hint_ = sim::kInvalidNode;
   // Keyed lookups only, never iterated in order; bounded by the client

@@ -11,14 +11,19 @@ DemandTrace CompressTime(const DemandTrace& trace, int64_t factor) {
   return DemandTrace(trace.interval() / factor, trace.data());
 }
 
-DemandTrace PhaseShift(const DemandTrace& trace, Duration shift) {
-  const size_t n = trace.size();
-  if (n == 0) return trace;
+size_t PhaseShiftIntervals(const DemandTrace& trace, Duration shift) {
+  if (trace.size() == 0) return 0;
   const Duration total = trace.TotalDuration();
   // Normalize into [0, total).
   Duration s = shift % total;
   if (s < 0) s += total;
-  const size_t offset = static_cast<size_t>(s / trace.interval());
+  return static_cast<size_t>(s / trace.interval());
+}
+
+DemandTrace PhaseShift(const DemandTrace& trace, Duration shift) {
+  const size_t n = trace.size();
+  if (n == 0) return trace;
+  const size_t offset = PhaseShiftIntervals(trace, shift);
 
   std::vector<DemandInterval> rotated(n);
   for (size_t i = 0; i < n; ++i) {

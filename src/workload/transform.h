@@ -18,6 +18,11 @@ DemandTrace CompressTime(const DemandTrace& trace, int64_t factor);
 /// with off-peak in Asia). Positive shift moves the pattern later.
 DemandTrace PhaseShift(const DemandTrace& trace, Duration shift);
 
+/// The rotation `PhaseShift` applies, in whole intervals: `shift` normalized
+/// into [0, TotalDuration()) and truncated to an interval (0 for an empty
+/// trace).
+size_t PhaseShiftIntervals(const DemandTrace& trace, Duration shift);
+
 /// Truncates a trace to its first `duration` worth of intervals.
 DemandTrace Truncate(const DemandTrace& trace, Duration duration);
 

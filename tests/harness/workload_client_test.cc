@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "sim/cluster.h"
 
 namespace samya::harness {
@@ -210,6 +212,29 @@ TEST(WorkloadClientTest, TimeoutFailsOverToNextServer) {
   cluster.env().RunFor(Seconds(2));
   EXPECT_EQ(client->stats().committed_acquires, 1u);
   EXPECT_EQ(live->tokens_, 99);
+}
+
+TEST(WorkloadClientTest, CrashedStreamedClientIssuesNothingMore) {
+  sim::Cluster cluster(7);
+  auto* server = cluster.AddNode<StubServer>(sim::Region::kUsWest1, 1000);
+  WorkloadClientOptions copts;
+  copts.servers = {server->id()};
+  // Ten 1 s intervals of 5 acquires each, generated as the client plays.
+  auto trace = std::make_shared<const workload::DemandTrace>(
+      Seconds(1), std::vector<workload::DemandInterval>(10, {5, 0}));
+  auto* client = cluster.AddNode<WorkloadClient>(
+      sim::Region::kUsWest1, copts,
+      workload::RequestStream(trace, 0, workload::RequestStreamOptions{}));
+  cluster.StartAll();
+  cluster.env().RunUntil(Millis(3500));
+  const uint64_t sent = client->stats().sent;
+  EXPECT_GE(sent, 15u);
+  EXPECT_LE(sent, 20u);
+  cluster.net().Crash(client->id());
+  cluster.env().RunUntil(Seconds(20));
+  EXPECT_EQ(client->stats().sent, sent);
+  EXPECT_EQ(server->requests, static_cast<int>(sent));
+  EXPECT_EQ(client->outstanding(), 0u);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "workload/request_stream.h"
+#include "workload/transform.h"
+
 namespace samya::harness {
 namespace {
 
@@ -137,6 +140,101 @@ TEST(ExperimentTest, AggregateCountsSkippedReleases) {
   EXPECT_EQ(per_client, 3u);
   EXPECT_EQ(result.aggregate.skipped_releases, per_client);
   EXPECT_EQ(result.aggregate.sent, 2u);
+}
+
+/// Region r's script drained up front, built the way a test would by hand:
+/// the rotated trace copy (`PhaseShift`) rather than the stream's offset.
+std::vector<std::vector<workload::Request>> DrainedScripts(
+    const ExperimentOptions& opts) {
+  const workload::DemandTrace compressed = workload::CompressTime(
+      workload::GenerateAzureTrace(opts.trace), opts.compress_factor);
+  const Duration day = compressed.interval() * 288;
+  std::vector<std::vector<workload::Request>> scripts;
+  for (int r = 0; r < 5; ++r) {
+    workload::RequestStreamOptions ropts;
+    ropts.read_ratio = opts.read_ratio;
+    ropts.horizon = opts.duration;
+    ropts.seed = opts.seed + 7 + static_cast<uint64_t>(r);
+    scripts.push_back(workload::GenerateRequests(
+        workload::PhaseShift(compressed, day * r / 5), ropts));
+  }
+  return scripts;
+}
+
+void ExpectSameRun(const ExperimentResult& a, const ExperimentResult& b) {
+  const ClientStats& x = a.aggregate;
+  const ClientStats& y = b.aggregate;
+  EXPECT_EQ(x.committed_acquires, y.committed_acquires);
+  EXPECT_EQ(x.committed_releases, y.committed_releases);
+  EXPECT_EQ(x.committed_reads, y.committed_reads);
+  EXPECT_EQ(x.rejected, y.rejected);
+  EXPECT_EQ(x.dropped, y.dropped);
+  EXPECT_EQ(x.sent, y.sent);
+  EXPECT_EQ(x.skipped_releases, y.skipped_releases);
+  EXPECT_EQ(a.in_flight, b.in_flight);
+  EXPECT_EQ(x.latency.count(), y.latency.count());
+  EXPECT_EQ(x.latency.min(), y.latency.min());
+  EXPECT_EQ(x.latency.P50(), y.latency.P50());
+  EXPECT_EQ(x.latency.P99(), y.latency.P99());
+  EXPECT_EQ(x.latency.max(), y.latency.max());
+  EXPECT_EQ(a.proactive_redistributions, b.proactive_redistributions);
+  EXPECT_EQ(a.reactive_redistributions, b.reactive_redistributions);
+  EXPECT_EQ(a.instances_completed, b.instances_completed);
+  EXPECT_EQ(a.instances_aborted, b.instances_aborted);
+  EXPECT_EQ(a.network.messages_sent, b.network.messages_sent);
+  EXPECT_EQ(a.network.messages_delivered, b.network.messages_delivered);
+  EXPECT_EQ(a.network.messages_dropped_loss, b.network.messages_dropped_loss);
+  EXPECT_EQ(a.network.messages_dropped_partition,
+            b.network.messages_dropped_partition);
+  EXPECT_EQ(a.network.messages_dropped_crashed,
+            b.network.messages_dropped_crashed);
+  EXPECT_EQ(a.network.messages_dropped_link, b.network.messages_dropped_link);
+  EXPECT_EQ(a.network.messages_duplicated, b.network.messages_duplicated);
+  EXPECT_EQ(a.network.bytes_sent, b.network.bytes_sent);
+  EXPECT_EQ(a.events_executed, b.events_executed);
+}
+
+TEST(ExperimentTest, StreamedScriptsMatchOverride) {
+  ExperimentOptions majority;
+  majority.system = SystemKind::kSamyaMajority;
+  majority.duration = Minutes(2);
+  majority.trace.days = 3;
+  ExperimentOptions any_reads = majority;
+  any_reads.system = SystemKind::kSamyaAny;
+  any_reads.closed_loop = true;
+  any_reads.read_ratio = 0.2;
+  for (const ExperimentOptions& streamed : {majority, any_reads}) {
+    SCOPED_TRACE(SystemName(streamed.system));
+    ExperimentOptions fixed = streamed;
+    fixed.scripts_override = DrainedScripts(streamed);
+    Experiment a(streamed);
+    a.Setup();
+    const ExperimentResult ra = a.Run();
+    Experiment b(fixed);
+    b.Setup();
+    const ExperimentResult rb = b.Run();
+    EXPECT_GT(ra.aggregate.TotalCommitted(), 10000u);
+    ExpectSameRun(ra, rb);
+  }
+}
+
+TEST(ExperimentTest, ClientLedgerClosesWithInFlight) {
+  // Full trace volume in a closed loop: the scripts outlast the run, so it
+  // stops with requests still outstanding, and those are counted.
+  ExperimentOptions opts;
+  opts.system = SystemKind::kSamyaAny;
+  opts.duration = Minutes(2);
+  opts.trace.days = 3;
+  opts.closed_loop = true;
+  opts.read_ratio = 0.2;
+  opts.seed = 1;
+  Experiment experiment(opts);
+  experiment.Setup();
+  const ExperimentResult result = experiment.Run();
+  const ClientStats& s = result.aggregate;
+  EXPECT_GT(result.in_flight, 0u);
+  EXPECT_EQ(s.sent, s.TotalCommitted() + s.rejected + s.dropped +
+                        result.in_flight);
 }
 
 }  // namespace

@@ -147,11 +147,13 @@ int main(int argc, char** argv) {
               static_cast<long long>(opts.max_tokens), opts.read_ratio * 100,
               opts.closed_loop ? "closed-loop" : "trace-driven",
               static_cast<unsigned long long>(opts.seed));
-  std::printf("committed   : %llu (%.1f tps)   rejected %llu, dropped %llu\n",
+  std::printf("committed   : %llu (%.1f tps)   rejected %llu, dropped %llu, "
+              "in flight %llu\n",
               static_cast<unsigned long long>(r.aggregate.TotalCommitted()),
               r.MeanTps(opts.duration),
               static_cast<unsigned long long>(r.aggregate.rejected),
-              static_cast<unsigned long long>(r.aggregate.dropped));
+              static_cast<unsigned long long>(r.aggregate.dropped),
+              static_cast<unsigned long long>(r.in_flight));
   std::printf("latency     : p50 %.2f ms, p90 %.2f ms, p99 %.2f ms\n",
               r.aggregate.latency.P50() / 1000.0,
               r.aggregate.latency.P90() / 1000.0,
