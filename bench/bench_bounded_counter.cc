@@ -25,7 +25,7 @@
 
 #include "bench_util.h"
 #include "common/json.h"
-#include "harness/chaos.h"
+#include "harness/case.h"
 #include "harness/invariant_auditor.h"
 
 using namespace samya;           // NOLINT
@@ -116,7 +116,7 @@ struct DiscoRun {
 DiscoRun RunDisconnection(SystemKind system, bool disconnected_mode,
                           bool crash_mid_window, const Shape& shape,
                           std::string label) {
-  ChaosCase c;
+  Case c;
   c.system = system;
   c.seed = 11;
   c.max_tokens = shape.disco_tokens;
@@ -135,7 +135,7 @@ DiscoRun RunDisconnection(SystemKind system, bool disconnected_mode,
   }
   c.schedule.ops.push_back({shape.heal_at, sim::FaultOp::Kind::kHeal});
 
-  Experiment e(MakeChaosOptions(c, AuditOptions{}));
+  Experiment e(MakeCaseOptions(c));
   e.Setup();
   const ExperimentResult r = e.Run();
 

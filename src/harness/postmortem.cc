@@ -96,30 +96,7 @@ Result<PostmortemBundle> PostmortemBundle::FromJson(const JsonValue& v) {
 }
 
 PostmortemBundle MakePostmortem(const std::string& source,
-                                const std::string& failed_check,
-                                JsonValue reproducer,
-                                const ExperimentResult& r) {
-  PostmortemBundle b;
-  b.source = source;
-  b.failed_check = failed_check;
-  if (b.failed_check.empty() && !r.violations.empty()) {
-    b.failed_check = r.violations.front().check;
-  }
-  b.reproducer = std::move(reproducer);
-  b.violations = r.violations;
-  b.dropped_violations = r.dropped_violations;
-  if (r.obs != nullptr) {
-    b.metrics = BuildMetricsSnapshot(r);
-    if (const obs::FlightRecorder* flight = r.obs->flight()) {
-      b.flight = flight->ToJson();
-    }
-  }
-  return b;
-}
-
-PostmortemBundle MakePostmortem(const std::string& source,
-                                JsonValue reproducer,
-                                const ExploreRunResult& r) {
+                                JsonValue reproducer, const CaseResult& r) {
   PostmortemBundle b;
   b.source = source;
   b.failed_check = r.failed_check;
@@ -136,6 +113,7 @@ PostmortemBundle MakePostmortem(const std::string& source,
     b.violations.push_back(std::move(v));
   }
   if (r.obs != nullptr) {
+    b.metrics = BuildMetricsSnapshot(r);
     if (const obs::FlightRecorder* flight = r.obs->flight()) {
       b.flight = flight->ToJson();
     }

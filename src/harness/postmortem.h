@@ -8,7 +8,7 @@
 #include "common/json.h"
 #include "common/status.h"
 #include "harness/experiment.h"
-#include "harness/explore.h"
+#include "harness/case.h"
 #include "obs/flight_recorder.h"
 
 namespace samya::harness {
@@ -17,22 +17,22 @@ namespace samya::harness {
 /// Post-mortem bundles (DESIGN.md §13).
 ///
 /// A bundle is the self-contained forensic record of one violating run:
-/// the reproducer (chaos/explore case JSON), the auditor's violation list,
-/// the metrics snapshot, and the flight-recorder tail. `chaos_search`,
-/// `samya_explore`, and the corpus replay tests dump one next to every
-/// violating case ("<case>_postmortem.json"); `tools/samya_postmortem`
+/// the reproducer (case JSON), the auditor's violation list, the metrics
+/// snapshot, and the flight-recorder tail. `samya_search` and the corpus
+/// replay test dump one next to every violating case
+/// ("<case>_postmortem.json"); `tools/samya_postmortem`
 /// renders timelines, diffs two bundles to the first divergent protocol
 /// event, and exports to Perfetto.
 
 /// Format "samya-postmortem-v1". All sections are optional except
 /// `failed_check`; absent sections load as JSON null / empty.
 struct PostmortemBundle {
-  /// Producing tool ("chaos_search", "samya_explore", "corpus_replay", ...).
+  /// Producing tool ("samya_search", "corpus_replay", ...).
   std::string source;
   /// First failed check ("conservation", "linearizability", ...).
   std::string failed_check;
-  /// The reproducer case document (samya-chaos-case-v1 or
-  /// samya-explore-case-v1), verbatim; null when the run had none.
+  /// The reproducer case document ("samya-case-v1"), verbatim; null when
+  /// the run had none.
   JsonValue reproducer;
   std::vector<AuditViolation> violations;
   uint64_t dropped_violations = 0;  ///< past the auditor's cap
@@ -45,20 +45,12 @@ struct PostmortemBundle {
   static Result<PostmortemBundle> FromJson(const JsonValue& v);
 };
 
-/// Builds a bundle from a finished run. Pulls the flight section and
-/// metrics snapshot out of `r.obs` when present; `reproducer` is stored
-/// verbatim (pass `JsonValue()` for none).
+/// Builds a bundle from a finished case run. Pulls the flight section and
+/// metrics snapshot out of `r.obs` when present; the history checker's
+/// verdict rides as an extra violation when the checker failed.
+/// `reproducer` is stored verbatim (pass `JsonValue()` for none).
 PostmortemBundle MakePostmortem(const std::string& source,
-                                const std::string& failed_check,
-                                JsonValue reproducer,
-                                const ExperimentResult& r);
-
-/// Same, from a schedule-exploration run. No metrics section (explore runs
-/// don't build snapshots); the history checker's verdict rides as an extra
-/// "linearizability"-check violation when the checker failed.
-PostmortemBundle MakePostmortem(const std::string& source,
-                                JsonValue reproducer,
-                                const ExploreRunResult& r);
+                                JsonValue reproducer, const CaseResult& r);
 
 /// Writes `b.ToJson()` to `path` (`JsonDump` indent 2 + trailing newline,
 /// the corpus convention); loading and re-writing is byte-identical.

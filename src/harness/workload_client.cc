@@ -38,6 +38,10 @@ WorkloadClient::WorkloadClient(sim::NodeId id, sim::Region region,
 void WorkloadClient::Start() { ScheduleNext(); }
 
 void WorkloadClient::HandleCrash() {
+  // The crash forgets every outstanding request, so none can complete:
+  // count them as dropped to keep sent = committed + rejected + dropped +
+  // in_flight.
+  stats_.dropped += outstanding_.size();
   outstanding_.clear();
   // A crashed client stops issuing (Fig 3c crashes the region's client with
   // its site).

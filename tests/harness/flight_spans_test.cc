@@ -186,7 +186,7 @@ TEST(FlightSpansRunTest, PerfettoExportBalancesBeginsAndEnds) {
       std::filesystem::temp_directory_path() /
       ("samya_flight_spans_" + std::to_string(::getpid()) + ".json");
   const PostmortemBundle bundle =
-      MakePostmortem("flight_spans_test", "", JsonValue(), ShortRun());
+      MakePostmortem("flight_spans_test", JsonValue(), CaseResult(ShortRun()));
   ASSERT_TRUE(ExportFlightChromeTrace(bundle, path.string()).ok());
   std::ifstream in(path);
   std::stringstream buf;

@@ -2,14 +2,14 @@
 
 #include <gtest/gtest.h>
 
-#include "harness/chaos.h"
+#include "harness/case.h"
 #include "harness/experiment.h"
 
 namespace samya::harness {
 namespace {
 
-ChaosCase SmallCase(SystemKind system = SystemKind::kSamyaMajority) {
-  ChaosCase c;
+Case SmallCase(SystemKind system = SystemKind::kSamyaMajority) {
+  Case c;
   c.system = system;
   c.seed = 42;
   c.max_tokens = 1200;  // tight pool: redistributions must happen
@@ -20,8 +20,7 @@ ChaosCase SmallCase(SystemKind system = SystemKind::kSamyaMajority) {
 TEST(InvariantAuditorTest, CleanRunAuditsWithoutViolations) {
   for (SystemKind system :
        {SystemKind::kSamyaMajority, SystemKind::kSamyaAny}) {
-    AuditOptions audit;
-    const ExperimentResult r = RunChaosCase(SmallCase(system), audit);
+    const CaseResult r = RunCase(SmallCase(system));
     EXPECT_TRUE(r.violations.empty())
         << SystemName(system) << ": " << r.violations.front().check << " "
         << r.violations.front().detail;
@@ -33,11 +32,10 @@ TEST(InvariantAuditorTest, CleanRunAuditsWithoutViolations) {
 TEST(InvariantAuditorTest, ConservationHoldsAtQuiescenceAcrossCrashes) {
   // A crash + recover cycle with the guard on: the auditor skips the
   // non-quiescent window and the run must come out clean.
-  ChaosCase c = SmallCase();
+  Case c = SmallCase();
   c.schedule.ops.push_back({Seconds(5), sim::FaultOp::Kind::kCrash, 1});
   c.schedule.ops.push_back({Seconds(9), sim::FaultOp::Kind::kRecover, 1});
-  AuditOptions audit;
-  const ExperimentResult r = RunChaosCase(c, audit);
+  const CaseResult r = RunCase(c);
   EXPECT_TRUE(r.violations.empty())
       << r.violations.front().check << " " << r.violations.front().detail;
 }
@@ -46,23 +44,21 @@ TEST(InvariantAuditorTest, GuardOffFlagsConservationDuringCrashWindow) {
   // With the quiescence guard disabled, the same crash makes the Eq. 1
   // equality fail deterministically while site 1's pool reads zero. This is
   // the manufactured-violation path the shrink pipeline relies on.
-  ChaosCase c = SmallCase();
+  Case c = SmallCase();
   c.quiescence_guard = false;
   c.schedule.ops.push_back({Seconds(5), sim::FaultOp::Kind::kCrash, 1});
   c.schedule.ops.push_back({Seconds(9), sim::FaultOp::Kind::kRecover, 1});
-  AuditOptions audit;
-  const ExperimentResult r = RunChaosCase(c, audit);
+  const CaseResult r = RunCase(c);
   ASSERT_FALSE(r.violations.empty());
   EXPECT_EQ(r.violations.front().check, "conservation");
   EXPECT_GE(r.violations.front().at, Seconds(5));
 }
 
 TEST(InvariantAuditorTest, LivenessFlagsSiteLeftCrashed) {
-  ChaosCase c = SmallCase();
+  Case c = SmallCase();
   c.schedule.ops.push_back({Seconds(5), sim::FaultOp::Kind::kCrash, 2});
   // No recover op: the final audit must call out the dead site.
-  AuditOptions audit;
-  const ExperimentResult r = RunChaosCase(c, audit);
+  const CaseResult r = RunCase(c);
   bool flagged = false;
   for (const AuditViolation& v : r.violations) {
     if (v.check == "liveness" &&
@@ -76,19 +72,18 @@ TEST(InvariantAuditorTest, LivenessFlagsSiteLeftCrashed) {
 TEST(InvariantAuditorTest, BoundedCounterCleanRunAuditsWithoutViolations) {
   // The CRDT baseline audits the same Eq. 1 identity: sum of authoritative
   // balances plus the server-side ledger equals M at every tick.
-  const ExperimentResult r =
-      RunChaosCase(SmallCase(SystemKind::kBoundedCounter), AuditOptions{});
+  const CaseResult r = RunCase(SmallCase(SystemKind::kBoundedCounter));
   EXPECT_TRUE(r.violations.empty())
       << r.violations.front().check << " " << r.violations.front().detail;
   EXPECT_GE(r.audit_ticks, 30u);
 }
 
 TEST(InvariantAuditorTest, BoundedCounterNemesisRunStaysClean) {
-  ChaosCase c = MakeNemesisCase(SystemKind::kBoundedCounter, /*seed=*/13,
+  Case c = MakeNemesisCase(SystemKind::kBoundedCounter, /*seed=*/13,
                                 /*intensity=*/1.5, /*num_sites=*/5,
                                 /*isolate=*/1.0);
   c.duration = Seconds(30);
-  const ExperimentResult r = RunChaosCase(c, AuditOptions{});
+  const CaseResult r = RunCase(c);
   EXPECT_TRUE(r.violations.empty())
       << r.violations.front().check << " " << r.violations.front().detail;
 }
@@ -97,13 +92,13 @@ TEST(InvariantAuditorTest, ReconcileFlagsSamyaSiteLeftDisconnected) {
   // Isolate site 0's island and never heal: the run ends with the site
   // still inside its disconnected epoch, which the final audit must call
   // out as an unreconciled window.
-  ChaosCase c = SmallCase();
+  Case c = SmallCase();
   c.max_tokens = 5000;  // roomy: keep site 0 out of redistribution freezes
   c.disconnected_mode = true;
   c.schedule.ops.push_back({Seconds(5), sim::FaultOp::Kind::kIsolateSite, 0,
                             sim::kInvalidNode, 0.0,
                             {{0, 5, 10}}});
-  const ExperimentResult r = RunChaosCase(c, AuditOptions{});
+  const CaseResult r = RunCase(c);
   bool flagged = false;
   for (const AuditViolation& v : r.violations) {
     if (v.check == "reconcile") flagged = true;
@@ -112,12 +107,12 @@ TEST(InvariantAuditorTest, ReconcileFlagsSamyaSiteLeftDisconnected) {
 }
 
 TEST(InvariantAuditorTest, ReconcileFlagsBoundedSiteLeftDisconnected) {
-  ChaosCase c = SmallCase(SystemKind::kBoundedCounter);
+  Case c = SmallCase(SystemKind::kBoundedCounter);
   c.max_tokens = 5000;
   c.schedule.ops.push_back({Seconds(5), sim::FaultOp::Kind::kIsolateSite, 0,
                             sim::kInvalidNode, 0.0,
                             {{0, 5, 10}}});
-  const ExperimentResult r = RunChaosCase(c, AuditOptions{});
+  const CaseResult r = RunCase(c);
   bool flagged = false;
   for (const AuditViolation& v : r.violations) {
     if (v.check == "reconcile") flagged = true;
@@ -126,45 +121,17 @@ TEST(InvariantAuditorTest, ReconcileFlagsBoundedSiteLeftDisconnected) {
 }
 
 TEST(InvariantAuditorTest, AuditedRunsAreDeterministic) {
-  ChaosCase c = MakeNemesisCase(SystemKind::kSamyaAny, /*seed=*/3,
+  Case c = MakeNemesisCase(SystemKind::kSamyaAny, /*seed=*/3,
                                 /*intensity=*/2.0);
   c.duration = Seconds(30);
-  AuditOptions audit;
-  const ExperimentResult a = RunChaosCase(c, audit);
-  const ExperimentResult b = RunChaosCase(c, audit);
+  const CaseResult a = RunCase(c);
+  const CaseResult b = RunCase(c);
   EXPECT_EQ(a.aggregate.TotalCommitted(), b.aggregate.TotalCommitted());
   EXPECT_EQ(a.audit_ticks, b.audit_ticks);
   ASSERT_EQ(a.violations.size(), b.violations.size());
   for (size_t i = 0; i < a.violations.size(); ++i) {
     EXPECT_EQ(a.violations[i].at, b.violations[i].at);
     EXPECT_EQ(a.violations[i].detail, b.violations[i].detail);
-  }
-}
-
-TEST(InvariantAuditorTest, ChaosCaseJsonRoundTrip) {
-  ChaosCase c = MakeNemesisCase(SystemKind::kSamyaMajority, /*seed=*/9,
-                                /*intensity=*/1.5, /*num_sites=*/7,
-                                /*isolate=*/2.0, /*disconnected_mode=*/true);
-  c.quiescence_guard = false;
-  c.violation_check = "conservation";
-  c.note = "round trip";
-  auto parsed =
-      ChaosCase::FromJson(JsonParse(JsonDump(c.ToJson(), 2)).value());
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  const ChaosCase& d = parsed.value();
-  EXPECT_EQ(d.system, c.system);
-  EXPECT_EQ(d.seed, c.seed);
-  EXPECT_EQ(d.num_sites, c.num_sites);
-  EXPECT_EQ(d.max_tokens, c.max_tokens);
-  EXPECT_EQ(d.duration, c.duration);
-  EXPECT_EQ(d.quiescence_guard, c.quiescence_guard);
-  EXPECT_EQ(d.isolate, c.isolate);
-  EXPECT_EQ(d.disconnected_mode, c.disconnected_mode);
-  EXPECT_EQ(d.violation_check, c.violation_check);
-  EXPECT_EQ(d.note, c.note);
-  ASSERT_EQ(d.schedule.size(), c.schedule.size());
-  for (size_t i = 0; i < c.schedule.size(); ++i) {
-    EXPECT_EQ(d.schedule.ops[i], c.schedule.ops[i]) << "op " << i;
   }
 }
 

@@ -8,7 +8,7 @@
 
 #include <tuple>
 
-#include "harness/chaos.h"
+#include "harness/case.h"
 #include "harness/experiment.h"
 #include "sim/nemesis.h"
 
@@ -18,9 +18,9 @@ namespace {
 /// Isolation island for site 0 under the standard 5-site deployment layout:
 /// the site, its region's app manager (id 5) and its client (id 10), so
 /// load keeps arriving at the cut-off site.
-ChaosCase IsolationCase(bool disconnected_mode,
+Case IsolationCase(bool disconnected_mode,
                         SystemKind system = SystemKind::kSamyaMajority) {
-  ChaosCase c;
+  Case c;
   c.system = system;
   c.seed = 11;
   c.max_tokens = 2000;  // roomy pools: the isolated site can serve locally
@@ -36,7 +36,7 @@ ChaosCase IsolationCase(bool disconnected_mode,
 TEST(DisconnectedSiteTest, ServesDuringIsolationAndReconcilesOnHeal) {
   for (SystemKind system :
        {SystemKind::kSamyaMajority, SystemKind::kSamyaAny}) {
-    Experiment e(MakeChaosOptions(IsolationCase(true, system), AuditOptions{}));
+    Experiment e(MakeCaseOptions(IsolationCase(true, system)));
     e.Setup();
     const ExperimentResult r = e.Run();
     const core::Site& site = *e.samya_sites()[0];
@@ -62,7 +62,7 @@ TEST(DisconnectedSiteTest, FlagOffKeepsSeedBehaviour) {
   // Without enable_disconnected_mode the same isolation must not create any
   // disconnected epoch (the detector never arms), and conservation still
   // holds once the partition heals and queued work drains.
-  Experiment e(MakeChaosOptions(IsolationCase(false), AuditOptions{}));
+  Experiment e(MakeCaseOptions(IsolationCase(false)));
   e.Setup();
   const ExperimentResult r = e.Run();
   const core::Site& site = *e.samya_sites()[0];
@@ -78,12 +78,12 @@ TEST(DisconnectedSiteTest, CrashInsideWindowReplaysOpLog) {
   // recovery must replay the op-log (rebuilding the pool and dedup cache),
   // resume the disconnected epoch, and the eventual heal must still
   // reconcile to exact conservation.
-  ChaosCase c = IsolationCase(true);
+  Case c = IsolationCase(true);
   c.schedule.ops.push_back({Seconds(10), sim::FaultOp::Kind::kCrash, 0});
   c.schedule.ops.push_back({Seconds(12), sim::FaultOp::Kind::kRecover, 0});
   c.schedule.SortByTime();
 
-  Experiment e(MakeChaosOptions(c, AuditOptions{}));
+  Experiment e(MakeCaseOptions(c));
   e.Setup();
   const ExperimentResult r = e.Run();
   const core::Site& site = *e.samya_sites()[0];
@@ -104,25 +104,25 @@ TEST(DisconnectedSiteTest, DisconnectedRunsAreDeterministic) {
                       r.network.messages_sent, s.disconnected_served,
                       s.oplog_appends, s.reconciles, e.TotalSiteTokens());
   };
-  Experiment a(MakeChaosOptions(IsolationCase(true), AuditOptions{}));
+  Experiment a(MakeCaseOptions(IsolationCase(true)));
   a.Setup();
   const ExperimentResult ra = a.Run();
-  Experiment b(MakeChaosOptions(IsolationCase(true), AuditOptions{}));
+  Experiment b(MakeCaseOptions(IsolationCase(true)));
   b.Setup();
   const ExperimentResult rb = b.Run();
   EXPECT_EQ(digest(ra, a), digest(rb, b));
 }
 
 TEST(DisconnectedSiteTest, GeneratedIsolationSweepStaysClean) {
-  // The chaos_search grid in miniature: generated nemesis schedules with
+  // The samya_search faults grid in miniature: generated nemesis schedules with
   // isolation waves armed, samya + bounded_counter, all clean after heal.
   for (SystemKind system :
        {SystemKind::kSamyaMajority, SystemKind::kBoundedCounter}) {
-    ChaosCase c = MakeNemesisCase(system, /*seed=*/5, /*intensity=*/1.0,
+    Case c = MakeNemesisCase(system, /*seed=*/5, /*intensity=*/1.0,
                                   /*num_sites=*/5, /*isolate=*/1.5,
                                   /*disconnected_mode=*/true);
     c.duration = Seconds(30);
-    const ExperimentResult r = RunChaosCase(c, AuditOptions{});
+    const CaseResult r = RunCase(c);
     EXPECT_TRUE(r.violations.empty())
         << SystemName(system) << ": " << r.violations.front().check << " "
         << r.violations.front().detail;

@@ -237,5 +237,26 @@ TEST(ExperimentTest, ClientLedgerClosesWithInFlight) {
                         result.in_flight);
 }
 
+TEST(ExperimentTest, ClientLedgerClosesAfterClientCrash) {
+  // Crash every client mid-run, while requests are outstanding: the ones a
+  // crashed client forgets count as dropped, so the ledger still closes.
+  ExperimentOptions opts = SmallOptions(SystemKind::kSamyaMajority);
+  for (int r = 0; r < 5; ++r) {
+    // Client of region r: node id num_sites + 5 + r.
+    sim::FaultOp crash;
+    crash.at = Seconds(60) + Millis(1) + Millis(2) * r;
+    crash.kind = sim::FaultOp::Kind::kCrash;
+    crash.a = static_cast<sim::NodeId>(opts.num_sites + 5 + r);
+    opts.fault_schedule.ops.push_back(crash);
+  }
+  Experiment experiment(opts);
+  experiment.Setup();
+  const ExperimentResult result = experiment.Run();
+  const ClientStats& s = result.aggregate;
+  EXPECT_GT(s.dropped, 0u);
+  EXPECT_EQ(s.sent, s.TotalCommitted() + s.rejected + s.dropped +
+                        result.in_flight);
+}
+
 }  // namespace
 }  // namespace samya::harness

@@ -26,7 +26,7 @@
 #include <vector>
 
 #include "common/testonly_mutation.h"
-#include "harness/explore.h"
+#include "harness/case.h"
 #include "harness/postmortem.h"
 #include "obs/flight_recorder.h"
 #include "sim/nemesis.h"
@@ -201,9 +201,8 @@ class PostmortemRoundTripTest : public ::testing::Test {
 };
 
 TEST_F(PostmortemRoundTripTest, WriteLoadRewriteIsByteIdentical) {
-  ExploreCase c;
-  c.system = SystemKind::kSamyaMajority;
-  const ExploreRunResult r = RunExploreCase(c);
+  const Case c = ContentionCase(SystemKind::kSamyaMajority);
+  const CaseResult r = RunCase(c);
   ASSERT_NE(r.obs, nullptr);
   ASSERT_NE(r.obs->flight(), nullptr);
   const PostmortemBundle bundle =
@@ -224,10 +223,9 @@ TEST_F(PostmortemRoundTripTest, WriteLoadRewriteIsByteIdentical) {
 }
 
 TEST_F(PostmortemRoundTripTest, IdenticalSeedBundlesDiffClean) {
-  ExploreCase c;
-  c.system = SystemKind::kSamyaMajority;
-  const ExploreRunResult r1 = RunExploreCase(c);
-  const ExploreRunResult r2 = RunExploreCase(c);
+  const Case c = ContentionCase(SystemKind::kSamyaMajority);
+  const CaseResult r1 = RunCase(c);
+  const CaseResult r2 = RunCase(c);
   const PostmortemBundle b1 = MakePostmortem("test", c.ToJson(), r1);
   const PostmortemBundle b2 = MakePostmortem("test", c.ToJson(), r2);
   const PostmortemDiff d = DiffPostmortems(b1, b2);
@@ -237,13 +235,12 @@ TEST_F(PostmortemRoundTripTest, IdenticalSeedBundlesDiffClean) {
 }
 
 TEST_F(PostmortemRoundTripTest, MutatedRunDiffReportsFirstDivergentEvent) {
-  ExploreCase c;
-  c.system = SystemKind::kSamyaMajority;
-  const ExploreRunResult clean = RunExploreCase(c);
+  const Case c = ContentionCase(SystemKind::kSamyaMajority);
+  const CaseResult clean = RunCase(c);
   SetMutationForTest(kMutationAllocRemainder, true);
-  ExploreCase mutated_case = c;
+  Case mutated_case = c;
   mutated_case.mutation = kMutationAllocRemainder;
-  const ExploreRunResult mutated = RunExploreCase(mutated_case);
+  const CaseResult mutated = RunCase(mutated_case);
   SetMutationForTest(kMutationAllocRemainder, false);
   ASSERT_TRUE(mutated.violated());
 

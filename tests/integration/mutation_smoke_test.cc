@@ -20,7 +20,7 @@
 #include <string>
 
 #include "common/testonly_mutation.h"
-#include "harness/explore.h"
+#include "harness/case.h"
 #include "storage/stable_storage.h"
 
 namespace samya::harness {
@@ -54,10 +54,9 @@ TEST(MutationSmokeTest, AllocRemainderCaughtByExplorerInOneRun) {
   // 30, which the conservation ledger (pools + net acquires == M_e) sees at
   // the first quiescent audit tick. Budget: a single FIFO run — no schedule
   // search needed, the bug is unconditional.
-  ExploreCase c;
-  c.system = SystemKind::kSamyaMajority;
+  Case c = ContentionCase(SystemKind::kSamyaMajority);
   c.mutation = kMutationAllocRemainder;
-  const ExploreRunResult r = RunExploreCase(c);
+  const CaseResult r = RunCase(c);
   EXPECT_TRUE(r.violated());
   EXPECT_EQ(r.failed_check, "conservation");
 }
@@ -65,9 +64,8 @@ TEST(MutationSmokeTest, AllocRemainderCaughtByExplorerInOneRun) {
 TEST(MutationSmokeTest, AllocRemainderCleanRunStaysClean) {
   // Control: identical config without the mutation must not flag, i.e. the
   // smoke test above detects the bug, not the scenario.
-  ExploreCase c;
-  c.system = SystemKind::kSamyaMajority;
-  const ExploreRunResult r = RunExploreCase(c);
+  const Case c = ContentionCase(SystemKind::kSamyaMajority);
+  const CaseResult r = RunCase(c);
   EXPECT_FALSE(r.violated()) << r.failed_check;
   EXPECT_GT(r.ops_recorded, 0u);
 }

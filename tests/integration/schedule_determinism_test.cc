@@ -9,8 +9,8 @@
 
 #include <tuple>
 
+#include "harness/case.h"
 #include "harness/experiment.h"
-#include "harness/explore.h"
 #include "sim/schedule_oracle.h"
 
 namespace samya::harness {
@@ -85,11 +85,11 @@ TEST(ScheduleDeterminismTest, RandomWalkActuallyReorders) {
   // Different interleavings are allowed to (and here, do) change observable
   // metrics relative to FIFO — otherwise the explorer would be a no-op.
   // Only the run *digest* may differ; conservation must hold either way,
-  // which RunExploreCase's auditor asserts across the whole sweep.
-  ExploreCase c;
-  c.scheduler = SchedulerKind::kRandom;
+  // which RunCase's auditor asserts across the whole sweep.
+  Case c = ContentionCase(SystemKind::kSamyaMajority);
   c.seed = 3;
-  const ExploreRunResult r = RunExploreCase(c);
+  sim::RandomWalkOracle walk(c.seed);
+  const CaseResult r = RunCase(c, &walk);
   EXPECT_FALSE(r.violated()) << r.failed_check;
   EXPECT_GT(r.trace.size(), 0u);
 }

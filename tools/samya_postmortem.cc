@@ -1,16 +1,16 @@
 // samya_postmortem — render, diff, and export post-mortem bundles.
 //
-// A bundle ("samya-postmortem-v1", written by chaos_search / samya_explore /
-// this tool's capture command) is the self-contained record of one violating
-// run: the reproducer case, the violation list, a metrics snapshot, and the
+// A bundle ("samya-postmortem-v1", written by samya_search or this tool's
+// capture command) is the self-contained record of one violating run: the
+// reproducer case, the violation list, a metrics snapshot, and the
 // flight-recorder tail (DESIGN.md §13).
 //
 // Subcommands:
 //   capture --case FILE [--out FILE]
-//     Re-runs a chaos or explore corpus case (auto-detected from its
-//     "format" field) with the flight recorder armed and dumps the bundle
-//     (default: "<case>_postmortem.json"). Works on clean cases too — a
-//     clean bundle is the baseline side of a diff.
+//     Re-runs a corpus case ("samya-case-v1") with the flight recorder
+//     armed and dumps the bundle (default: "<case>_postmortem.json").
+//     Works on clean cases too — a clean bundle is the baseline side of a
+//     diff. A case file that fails to load exits 2.
 //   report FILE [--last N] [--site S]
 //     A summary, then the causally-ordered timeline of the flight history
 //     (canonical (at, site, seq) order). The summary holds the derived
@@ -33,7 +33,7 @@
 // I/O error.
 //
 // Examples:
-//   samya_postmortem capture --case tests/integration/chaos_corpus/x.json
+//   samya_postmortem capture --case tests/integration/corpus/x.json
 //   samya_postmortem report /tmp/corpus/chaos_..._postmortem.json --last 40
 //   samya_postmortem diff serial_postmortem.json pdes_postmortem.json
 
@@ -41,17 +41,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/json.h"
 #include "common/token_api.h"
-#include "harness/chaos.h"
-#include "harness/explore.h"
+#include "harness/case.h"
 #include "harness/postmortem.h"
 
 using namespace samya;           // NOLINT — tool code
@@ -89,48 +86,16 @@ int LoadOrDie(const std::string& path, PostmortemBundle* out) {
 }
 
 int RunCapture(const std::string& case_path, std::string out_path) {
-  std::ifstream in(case_path);
-  if (!in) {
-    std::fprintf(stderr, "cannot read %s\n", case_path.c_str());
+  auto c = LoadCase(case_path);
+  if (!c.ok()) {
+    std::fprintf(stderr, "%s: %s\n", case_path.c_str(),
+                 c.status().message().c_str());
     return 2;
   }
-  std::stringstream buf;
-  buf << in.rdbuf();
-  auto parsed = JsonParse(buf.str());
-  if (!parsed.ok()) {
-    std::fprintf(stderr, "parse error: %s\n",
-                 parsed.status().message().c_str());
-    return 2;
-  }
-  const std::string format = parsed.value().GetString("format", "");
-  PostmortemBundle bundle;
-  if (format == "samya-chaos-case-v1") {
-    auto c = ChaosCase::FromJson(parsed.value());
-    if (!c.ok()) {
-      std::fprintf(stderr, "bad case: %s\n", c.status().message().c_str());
-      return 2;
-    }
-    AuditOptions audit;
-    audit.enabled = true;
-    const ExperimentResult r = RunChaosCase(c.value(), audit);
-    bundle = MakePostmortem("samya_postmortem", c.value().violation_check,
-                            c.value().ToJson(), r);
-    std::printf("capture: chaos case, %zu violation(s)\n",
-                r.violations.size());
-  } else if (format == "samya-explore-case-v1") {
-    auto c = ExploreCase::FromJson(parsed.value());
-    if (!c.ok()) {
-      std::fprintf(stderr, "bad case: %s\n", c.status().message().c_str());
-      return 2;
-    }
-    const ExploreRunResult r = RunExploreCase(c.value());
-    bundle = MakePostmortem("samya_postmortem", c.value().ToJson(), r);
-    std::printf("capture: explore case, %s\n",
-                r.violated() ? r.failed_check.c_str() : "clean");
-  } else {
-    std::fprintf(stderr, "unknown case format '%s'\n", format.c_str());
-    return 2;
-  }
+  const CaseResult r = RunCase(c.value());
+  const PostmortemBundle bundle =
+      MakePostmortem("samya_postmortem", c.value().ToJson(), r);
+  std::printf("capture: %s\n", r.violated() ? r.failed_check.c_str() : "clean");
   if (out_path.empty()) out_path = DerivedPath(case_path, "_postmortem");
   const Status st = WritePostmortem(bundle, out_path);
   if (!st.ok()) {
